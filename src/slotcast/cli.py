@@ -1,8 +1,8 @@
 """Command-line surface: ingest JSONL query logs and drive the
 analyze/synth/train/predict/advise/evaluate workflows.
 
-Exit codes: 0 ok, 2 advisory threshold exceeded, 64 usage error,
-65 bundle version mismatch, 74 file error.
+Exit codes: 0 ok, 1 domain error, 2 advisory threshold exceeded, 64 usage
+or config-file error, 65 bundle version mismatch, 74 file error.
 """
 from __future__ import annotations
 
@@ -18,7 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import evaluator, predictor, synth
-from .errors import BundleVersionMismatch, CorruptBundle, SlotcastError
+from .errors import (
+    BundleVersionMismatch,
+    ConfigError,
+    CorruptBundle,
+    MalformedRecord,
+    SlotcastError,
+)
 from .records import QueryRecord
 from .sql_analyzer import (
     DEFAULT_WEIGHTS,
@@ -45,6 +51,8 @@ class IngestStats:
     kept: int = 0
     dropped: Dict[str, int] = field(default_factory=lambda: {
         "ddl": 0, "timeout": 0, "anomalous": 0, "empty": 0, "malformed": 0})
+    # 0-based position of each kept record among the non-blank input lines
+    positions: List[int] = field(default_factory=list)
 
     def balanced(self) -> bool:
         return self.read == self.kept + sum(self.dropped.values())
@@ -63,14 +71,16 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
     """Parse a JSONL export and apply the pre-training filters."""
     stats = IngestStats()
     records: List[QueryRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes survive as lone surrogates, which encode() rejects
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             stats.read += 1
             try:
+                line.encode("utf-8")
                 rec = QueryRecord.from_json_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError, MalformedRecord) as exc:
                 logger.warning("line %d: malformed record (%s)", lineno, exc)
                 stats.dropped["malformed"] += 1
                 continue
@@ -91,6 +101,7 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
                     stats.dropped["anomalous"] += 1
                     continue
             records.append(rec)
+            stats.positions.append(stats.read - 1)
             stats.kept += 1
     return records, stats
 
@@ -108,48 +119,63 @@ def load_config_file(path) -> Dict[str, str]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ValueError(f"expected key=value, got {line!r}")
+                raise ConfigError(f"expected key=value, got {line!r}")
             values[key.strip()] = value.strip()
     return values
 
 
-def _apply_overrides(obj, values: Dict[str, str], prefix: str):
-    for f in dataclasses.fields(obj):
-        key = f"{prefix}{f.name}"
-        if key in values:
-            raw = values[key]
-            current = getattr(obj, f.name)
-            if isinstance(current, bool):
-                setattr(obj, f.name, raw.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(obj, f.name, int(raw))
-            elif isinstance(current, float):
-                setattr(obj, f.name, float(raw))
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _scalar_keys(obj, prefix: str) -> Dict[str, str]:
+    """{config key: field name} for the bool/int/float fields of obj."""
+    return {prefix + f.name: f.name for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), (bool, int, float))}
+
+
+def _overrides(obj, values: Dict[str, str], prefix: str):
+    """obj with each of its scalar fields that values names replaced."""
+    changes = {}
+    for key, name in _scalar_keys(obj, prefix).items():
+        if key not in values:
+            continue
+        raw, kind = values[key], type(getattr(obj, name))
+        try:
+            changes[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"{key}: {raw!r} is not a valid {kind.__name__}") from None
+    return dataclasses.replace(obj, **changes)
+
+
+def _reject_unknown_keys(values: Dict[str, str]) -> None:
+    """A key is known when train or synth reads it, so one file serves both."""
+    train, workload = predictor.TrainConfig(), synth.WorkloadConfig()
+    known = {**_scalar_keys(train.featurizer, "featurizer."),
+             **_scalar_keys(train.gbrt, "gbrt."),
+             **_scalar_keys(train.router, "router."),
+             **_scalar_keys(workload, "synth."),
+             **_scalar_keys(workload.oracle, "oracle.")}
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
 def train_config_from_values(values: Dict[str, str]) -> predictor.TrainConfig:
+    _reject_unknown_keys(values)
     cfg = predictor.TrainConfig()
-    _apply_overrides(cfg.featurizer, values, "featurizer.")
-    _apply_overrides(cfg.gbrt, values, "gbrt.")
-    threshold = int(values.get("router.threshold", cfg.router.threshold))
-    min_subset = int(values.get("router.min_subset", cfg.router.min_subset))
-    cfg.router = predictor.Router(threshold=threshold, min_subset=min_subset)
-    return cfg
+    return predictor.TrainConfig(
+        featurizer=_overrides(cfg.featurizer, values, "featurizer."),
+        gbrt=_overrides(cfg.gbrt, values, "gbrt."),
+        router=_overrides(cfg.router, values, "router."))
 
 
 def workload_config_from_values(values: Dict[str, str]) -> synth.WorkloadConfig:
-    cfg = synth.WorkloadConfig()
-    _apply_overrides(cfg, values, "synth.")
-    oracle_kwargs = {}
-    for f in dataclasses.fields(synth.OracleCostModel):
-        key = f"oracle.{f.name}"
-        if key in values:
-            oracle_kwargs[f.name] = float(values[key])
-    if oracle_kwargs:
-        base = dataclasses.asdict(cfg.oracle)
-        base.update(oracle_kwargs)
-        cfg.oracle = synth.OracleCostModel(**base)
-    return cfg
+    _reject_unknown_keys(values)
+    cfg = _overrides(synth.WorkloadConfig(), values, "synth.")
+    return dataclasses.replace(
+        cfg, oracle=_overrides(cfg.oracle, values, "oracle."))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +232,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = predictor.load_bundle(args.bundle)
-    records, _ = ingest(args.input, training=False)
+    records, stats = ingest(args.input, training=False)
     results = predictor.predict_many(bundle, records)
     with open(args.output, "w", encoding="utf-8") as fh:
-        for i, res in enumerate(results):
+        for i, res in zip(stats.positions, results):
             fh.write(f"{i}\t{res.slot_min:.6f}\t{res.route}\t"
                      f"{res.complexity_score}\n")
     print(f"wrote {len(results)} predictions to {args.output}")
@@ -320,6 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BundleVersionMismatch as exc:
         print(f"bundle version error: {exc}", file=sys.stderr)
         return EXIT_VERSION

@@ -59,3 +59,8 @@ class OverlappingEnvironments(SlotcastError):
 
 class MalformedRecord(SlotcastError):
     """A JSONL line could not be parsed into a QueryRecord."""
+
+
+class ConfigError(SlotcastError, ValueError):
+    """A --config file has a malformed line, an unknown key or a value of
+    the wrong type."""

@@ -7,12 +7,14 @@ fixed seed; a fitted Forest is immutable.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteTarget, TooFewSamples
+from .errors import (CorruptBundle, DimensionMismatch, NonFiniteTarget,
+                     TooFewSamples)
 
 _BINS = 256  # histogram width per feature (value bins + reserved missing bin)
 
@@ -88,35 +90,6 @@ class BinMapper:
         return out
 
 
-@dataclass
-class Tree:
-    feature: np.ndarray    # int32, -1 at leaves
-    threshold: np.ndarray  # int32 bin index, go left when bin <= threshold
-    left: np.ndarray       # int32 child ids
-    right: np.ndarray
-    value: np.ndarray      # float64 leaf contributions (log-space)
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
-    def predict_binned(self, xb: np.ndarray) -> np.ndarray:
-        out = np.empty(xb.shape[0])
-        stack: List[Tuple[int, np.ndarray]] = [(0, np.arange(xb.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            f = self.feature[nid]
-            if f < 0:
-                out[idx] = self.value[nid]
-                continue
-            go_left = xb[idx, f] <= self.threshold[nid]
-            stack.append((self.left[nid], idx[go_left]))
-            stack.append((self.right[nid], idx[~go_left]))
-        return out
-
-
 def histograms(xb: np.ndarray, idx: np.ndarray,
                g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-feature (gradient-sum, count) histograms for the given rows."""
@@ -153,14 +126,12 @@ def _best_split(g_hist: np.ndarray, c_hist: np.ndarray, sum_g: float,
 
 
 def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig
-               ) -> Tuple[Tree, np.ndarray]:
-    """Grow one tree on residuals g; returns the tree and its per-row output."""
+               ) -> Tuple[List[list], np.ndarray]:
+    """Grow one tree on residuals g; returns its nodes as [feature,
+    threshold, left, right, value] rows, children after their parent, and
+    its per-row output."""
     n = xb.shape[0]
-    feature: List[int] = [-1]
-    threshold: List[int] = [0]
-    left: List[int] = [-1]
-    right: List[int] = [-1]
-    value: List[float] = [0.0]
+    nodes: List[list] = [[-1, 0, -1, -1, 0.0]]
     out = np.empty(n)
 
     root_idx = np.arange(n)
@@ -170,15 +141,14 @@ def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig
     def leaf_value(s: float, c: float) -> float:
         return s / (c + config.l2) if c + config.l2 > 0 else 0.0
 
-    counter = 0
+    tick = itertools.count()  # heap tiebreak: first pushed pops first
     heap: List[tuple] = []
     split = _best_split(g_hist, c_hist, sum_g, cnt,
                         config.min_samples_leaf, config.l2)
-    # heap entries: (-gain, tiebreak counter, node_id, idx, hists, sums, split)
+    # heap entries: (-gain, tiebreak counter, node_id, split)
     state: Dict[int, tuple] = {0: (root_idx, g_hist, c_hist, sum_g, cnt)}
     if split is not None:
-        heapq.heappush(heap, (-split[0], counter, 0, split))
-        counter += 1
+        heapq.heappush(heap, (-split[0], next(tick), 0, split))
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
         _, _, nid, (gain, f, b) = heapq.heappop(heap)
@@ -193,65 +163,97 @@ def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig
             rgh, rch = histograms(xb, ri, g)
             lgh, lch = gh - rgh, ch - rch
         lsg, rsg = float(g[li].sum()), float(sg - g[li].sum())
+        nodes[nid][:4] = [f, b, len(nodes), len(nodes) + 1]
         for child_idx, cgh, cch, csg in ((li, lgh, lch, lsg),
                                          (ri, rgh, rch, rsg)):
-            cid = len(feature)
-            feature.append(-1)
-            threshold.append(0)
-            left.append(-1)
-            right.append(-1)
-            value.append(leaf_value(csg, float(child_idx.size)))
+            cid = len(nodes)
+            nodes.append([-1, 0, -1, -1, leaf_value(csg, float(child_idx.size))])
             state[cid] = (child_idx, cgh, cch, csg, float(child_idx.size))
             csplit = _best_split(cgh, cch, csg, float(child_idx.size),
                                  config.min_samples_leaf, config.l2)
             if csplit is not None:
-                heapq.heappush(heap, (-csplit[0], counter, cid, csplit))
-                counter += 1
-            if child_idx is li:
-                lid = cid
-            else:
-                rid = cid
-        feature[nid] = f
-        threshold[nid] = b
-        left[nid] = lid
-        right[nid] = rid
+                heapq.heappush(heap, (-csplit[0], next(tick), cid, csplit))
         n_leaves += 1
 
-    if len(feature) == 1:  # root stayed a leaf
-        value[0] = leaf_value(sum_g, cnt)
+    if len(nodes) == 1:  # root stayed a leaf
+        nodes[0][4] = leaf_value(sum_g, cnt)
 
-    tree = Tree(feature=np.array(feature, dtype=np.int32),
-                threshold=np.array(threshold, dtype=np.int32),
-                left=np.array(left, dtype=np.int32),
-                right=np.array(right, dtype=np.int32),
-                value=np.array(value, dtype=np.float64))
     # every leaf (including an unsplit root) remains in `state`
     for nid, (idx, _, _, _, _) in state.items():
-        out[idx] = value[nid]
-    return tree, out
+        out[idx] = nodes[nid][4]
+    return nodes, out
+
+
+_NODE_ARRAYS = ("node_feature", "node_threshold", "node_left", "node_right",
+                "node_value", "tree_offsets")
 
 
 @dataclass
 class Forest:
+    """Fitted ensemble held in flat node arrays, as the bundle stores them:
+    tree t owns nodes tree_offsets[t]:tree_offsets[t + 1], root first, and
+    child ids are local to the tree and larger than their parent's."""
     config: GBRTConfig
     b0: float
     bin_mapper: BinMapper
-    trees: List[Tree] = field(default_factory=list)
+    node_feature: np.ndarray    # int32, -1 at leaves
+    node_threshold: np.ndarray  # int32 bin index, go left when bin <= threshold
+    node_left: np.ndarray       # int32 local child ids
+    node_right: np.ndarray
+    node_value: np.ndarray      # float64 leaf contributions (log-space)
+    tree_offsets: np.ndarray    # int64, n_trees + 1 entries
     train_losses: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self) -> None:
+        # one traversal table for all trees: child[2 * node + go_left] in
+        # global ids, leaves looping back to themselves (and testing feature 0)
+        leaf = self.node_feature < 0
+        base = np.repeat(self.tree_offsets[:-1], np.diff(self.tree_offsets))
+        child = np.column_stack([self.node_right, self.node_left]) + base[:, None]
+        child[leaf] = np.flatnonzero(leaf)[:, None]
+        self._child = child.astype(np.intp).ravel()
+        self._feature = np.where(leaf, 0, self.node_feature).astype(np.intp)
+        self._threshold = self.node_threshold.astype(np.uint8)
+        self._roots = self.tree_offsets[:-1].astype(np.intp)
+        self._depth = 0  # deepest leaf, found level by level over all trees
+        level = self._roots[~leaf[self._roots]]
+        while level.size:
+            self._depth += 1
+            level = child[level].ravel()
+            level = level[~leaf[level]]
 
     @property
     def n_features(self) -> int:
         return self.bin_mapper.n_features
 
+    @property
+    def n_trees(self) -> int:
+        return self._roots.size
+
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """b0 plus the learning rate times each tree's leaf value. All trees
+        are walked at once, one block of rows at a time: a block decides
+        every node's split in one (rows x nodes) matrix of about 0.5 MB, so
+        it stays in cache, then moves all (row, tree) pairs depth times."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected (n, {self.n_features}) features")
         xb = self.bin_mapper.transform(x)
         pred = np.full(x.shape[0], self.b0)
-        for tree in self.trees:
-            pred += self.config.learning_rate * tree.predict_binned(xb)
+        n_nodes = max(self._feature.size, 1)
+        block = max(1, 2 ** 19 // n_nodes)
+        for start in range(0, x.shape[0] if self.n_trees else 0, block):
+            rows = slice(start, start + block)
+            go = (xb[rows][:, self._feature] <= self._threshold).ravel()
+            row_base = np.arange(go.size // n_nodes)[:, None] * n_nodes
+            nd = np.broadcast_to(self._roots, (row_base.size, self.n_trees))
+            for _ in range(self._depth):
+                nd = self._child[2 * nd + go[row_base + nd]]
+            # b0 + lr * value summed in tree order, as boosting added them
+            terms = self.config.learning_rate * self.node_value[nd]
+            terms[:, 0] += self.b0
+            pred[rows] = np.add.accumulate(terms, axis=1)[:, -1]
         return pred
 
     # -- serialization ------------------------------------------------------
@@ -259,47 +261,42 @@ class Forest:
     def get_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         edges = self.bin_mapper.bin_edges
         edge_offsets = np.cumsum([0] + [e.size for e in edges]).astype(np.int64)
-        tree_offsets = np.cumsum(
-            [0] + [t.feature.size for t in self.trees]).astype(np.int64)
-        def cat(attr, dtype):
-            if not self.trees:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([getattr(t, attr) for t in self.trees]).astype(dtype)
         meta = {"config": self.config.to_dict(), "b0": self.b0,
-                "n_trees": len(self.trees)}
-        arrays = {
-            "edge_values": (np.concatenate(edges) if edges else np.empty(0)),
-            "edge_offsets": edge_offsets,
-            "tree_offsets": tree_offsets,
-            "node_feature": cat("feature", np.int32),
-            "node_threshold": cat("threshold", np.int32),
-            "node_left": cat("left", np.int32),
-            "node_right": cat("right", np.int32),
-            "node_value": cat("value", np.float64),
-            "train_losses": self.train_losses,
-        }
+                "n_trees": self.n_trees}
+        arrays = {k: getattr(self, k) for k in _NODE_ARRAYS + ("train_losses",)}
+        arrays["edge_values"] = np.concatenate(edges) if edges else np.empty(0)
+        arrays["edge_offsets"] = edge_offsets
         return meta, arrays
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Forest":
-        eo = arrays["edge_offsets"]
-        edges = [np.ascontiguousarray(arrays["edge_values"][eo[i]:eo[i + 1]])
+        """Inverse of get_state. Raises CorruptBundle unless the arrays
+        describe walkable trees: each internal node's children lie in its
+        own tree after it, features are known and thresholds fit a uint8."""
+        f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
+        eo, ev = arrays["edge_offsets"], arrays["edge_values"]
+        if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
+                and all(a.dtype.kind in "iu" for a in (f, t, lft, rgt, off, eo))
+                and t.size == lft.size == rgt.size == val.size == f.size
+                and off.size == int(meta["n_trees"]) + 1 > 0 and off[0] == 0
+                and off[-1] == f.size and np.all(np.diff(off) > 0)
+                and eo.size > 0 and eo[0] == 0 and eo[-1] == ev.size
+                and np.all((np.diff(eo) >= 0) & (np.diff(eo) < _BINS - 1))):
+            raise CorruptBundle("forest: array shapes or offsets disagree")
+        inner = f >= 0
+        local = (np.arange(f.size) - np.repeat(off[:-1], np.diff(off)))[inner]
+        size = np.repeat(np.diff(off), np.diff(off))[inner]
+        if (np.any((f < -1) | (f >= eo.size - 1) | (t < 0) | (t > 255))
+                or np.any((lft[inner] <= local) | (lft[inner] >= size))
+                or np.any((rgt[inner] <= local) | (rgt[inner] >= size))):
+            raise CorruptBundle("forest: node feature, threshold or child "
+                                "out of range")
+        edges = [np.ascontiguousarray(ev[eo[i]:eo[i + 1]])
                  for i in range(eo.size - 1)]
-        to = arrays["tree_offsets"]
-        trees = []
-        for i in range(int(meta["n_trees"])):
-            s, e = to[i], to[i + 1]
-            trees.append(Tree(
-                feature=np.ascontiguousarray(arrays["node_feature"][s:e]),
-                threshold=np.ascontiguousarray(arrays["node_threshold"][s:e]),
-                left=np.ascontiguousarray(arrays["node_left"][s:e]),
-                right=np.ascontiguousarray(arrays["node_right"][s:e]),
-                value=np.ascontiguousarray(arrays["node_value"][s:e])))
         return cls(config=GBRTConfig.from_dict(meta["config"]),
-                   b0=float(meta["b0"]),
-                   bin_mapper=BinMapper(edges),
-                   trees=trees,
-                   train_losses=arrays["train_losses"])
+                   b0=float(meta["b0"]), bin_mapper=BinMapper(edges),
+                   train_losses=arrays["train_losses"],
+                   **{k: arrays[k] for k in _NODE_ARRAYS})
 
 
 def fit(features: np.ndarray, targets: np.ndarray,
@@ -321,17 +318,18 @@ def fit(features: np.ndarray, targets: np.ndarray,
     xb = mapper.transform(x)
     b0 = float(y.mean())
     pred = np.full(y.shape, b0)
-    trees: List[Tree] = []
+    nodes: List[list] = []
+    sizes = [0]
     losses = np.empty(config.iterations)
     for m in range(config.iterations):
         residual = y - pred
         tree, out = _grow_tree(xb, residual, config)
         pred = pred + config.learning_rate * out
-        trees.append(tree)
+        nodes.extend(tree)
+        sizes.append(len(tree))
         losses[m] = float(np.mean((y - pred) ** 2))
-    return Forest(config=config, b0=b0, bin_mapper=mapper, trees=trees,
-                  train_losses=losses)
+    columns = [np.array(c, dtype=d) for c, d in zip(
+        list(zip(*nodes)) or [()] * 5, (np.int32,) * 4 + (np.float64,))]
+    return Forest(config, b0, mapper, *columns,
+                  np.cumsum(sizes).astype(np.int64), losses)
 
-
-def predict(forest: Forest, features: np.ndarray) -> np.ndarray:
-    return forest.predict(features)

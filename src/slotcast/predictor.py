@@ -243,6 +243,8 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     if len(data) < 4 + 4 + 8 + 32 or data[:4] != _MAGIC:
         raise CorruptBundle("not a slotcast bundle")
     version = struct.unpack("<I", data[4:8])[0]
+    if version < 1:
+        raise CorruptBundle(f"bundle format {version} is not a valid version")
     if version > FORMAT_VERSION:
         raise BundleVersionMismatch(
             f"bundle format {version} is newer than supported {FORMAT_VERSION}")
@@ -254,6 +256,8 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         header = json.loads(data[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptBundle("unreadable header") from exc
+    if header.get("format_version") != version:
+        raise CorruptBundle("header and file disagree on the format version")
     offset = 16 + header_len
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:

@@ -4,6 +4,7 @@ These deliberately take a different code path from the library (regex and
 character scanning instead of token-stream rules; nested loops instead of
 vectorized math) so they can serve as oracles.
 """
+import bisect
 import math
 import re
 
@@ -128,3 +129,35 @@ def naive_metrics(actual, predicted):
     mean_p = sum(predicted) / n
     var_p = sum((p - mean_p) ** 2 for p in predicted) / n
     return mae, rmse, 1 - var_r / var_a, var_p / var_a
+
+
+def naive_forest_predict(forest, x):
+    """Per-row, per-tree walk over a Forest's node arrays.
+
+    Bins each value with bisect (non-finite values take the feature's
+    missing bin), follows one root-to-leaf path per tree, and adds
+    b0 + learning_rate * leaf value in tree order with Python floats.
+    """
+    edges = [e.tolist() for e in forest.bin_mapper.bin_edges]
+    feature = forest.node_feature.tolist()
+    threshold = forest.node_threshold.tolist()
+    left = forest.node_left.tolist()
+    right = forest.node_right.tolist()
+    value = forest.node_value.tolist()
+    starts = forest.tree_offsets[:-1].tolist()
+    lr = forest.config.learning_rate
+    out = []
+    for row in x.tolist():
+        bins = [bisect.bisect_right(e, v) if math.isfinite(v) else len(e) + 1
+                for e, v in zip(edges, row)]
+        pred = forest.b0
+        for start in starts:
+            node = start
+            while feature[node] >= 0:
+                if bins[feature[node]] <= threshold[node]:
+                    node = start + left[node]
+                else:
+                    node = start + right[node]
+            pred = pred + lr * value[node]
+        out.append(pred)
+    return out

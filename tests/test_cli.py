@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotcast import cli
 from slotcast.cli import (
@@ -16,6 +22,7 @@ from slotcast.cli import (
     workload_config_from_values,
 )
 from slotcast.predictor import FORMAT_VERSION
+from slotcast.records import _CHECKS, QueryRecord
 from slotcast.synth import WorkloadConfig, generate
 
 
@@ -97,6 +104,37 @@ def test_ingest_inference_mode_keeps_unlabelled(tmp_path):
     assert len(records) == 1
 
 
+PROBE_LINES = [
+    {"query_text": "SELECT 1", "total_bytes_processed": "lots"},
+    {"query_text": "SELECT 1", "total_bytes_processed": -5},
+    [1, 2],
+]
+
+
+def test_bad_records_counted_as_malformed(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    lines = [json.dumps(v) for v in PROBE_LINES] + [
+        json.dumps({"query_text": "SELECT 1", "account_count": 1.5}),
+        json.dumps({"query_text": "SELECT 1", "cache_hit": "yes"}),
+        '{"query_text": "SELECT 1", "elapsed_ms": NaN}',
+        json.dumps({"query_text": "SELECT 1", "asset_type_counts": [1]}),
+        json.dumps({"query_text": "SELECT 1", "total_bytes_billed": 2 ** 63}),
+        json.dumps({"query_text": "SELECT 1", "total_bytes_billed": 5.0,
+                    "region": None}),                                 # kept
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "ab") as fh:
+        fh.write(b'{"query_text": "SELECT \xff"}\n')  # not UTF-8
+    records, stats = ingest(path, training=False)
+    assert stats.read == 10 and stats.dropped["malformed"] == 9
+    assert stats.balanced() and stats.positions == [8]
+    assert records[0].total_bytes_billed == 5.0 and records[0].region == ""
+
+
+def test_record_checks_cover_every_field():
+    assert set(_CHECKS) == set(QueryRecord.__dataclass_fields__)
+
+
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------
@@ -119,6 +157,35 @@ def test_config_file_bad_line(tmp_path):
     path.write_text("iterations 12\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_config_file(path)
+
+
+def test_config_typo_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "w.jsonl"
+    write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
+    # synth rejects unknown keys and bad lines, but does not read gbrt values
+    for text, named, synth_code in (
+            ("gbrt.iteratons = 5\n", "gbrt.iteratons", EXIT_USAGE),
+            ("gbrt.iterations = five\n", "gbrt.iterations", EXIT_OK),
+            ("gbrt.iterations 5\n", "key=value", EXIT_USAGE)):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["train", "--input", str(data), "--output-bundle",
+                     str(tmp_path / "m.sltb"), "--config", str(cfg)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert main(["synth", "--output", str(tmp_path / "s.jsonl"),
+                     "--n-queries", "5", "--config", str(cfg)]) == synth_code
+    assert not (tmp_path / "m.sltb").exists()
+
+
+def test_config_keys_of_either_command_accepted(tmp_path):
+    values = {"synth.noise_sigma": "0.1", "oracle.sigma": "0.2",
+              "featurizer.cache": "x"}
+    with pytest.raises(ValueError, match="featurizer.cache"):
+        train_config_from_values(values)
+    del values["featurizer.cache"]
+    assert train_config_from_values(values) == train_config_from_values({})
+    wl = workload_config_from_values({**values, "gbrt.l2": "1"})
+    assert wl.noise_sigma == 0.1 and wl.oracle.sigma == 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +220,70 @@ def test_predict_output_format(trained, tmp_path):
     assert idx == "0" and float(slot) >= 0
     assert route in ("simple", "complex", "unified")
     assert int(score) >= 0
+
+
+def test_predict_ids_follow_input_lines(trained, tmp_path):
+    _, _, bundle = trained
+    data = tmp_path / "mixed.jsonl"
+    data.write_text("\n".join([
+        json.dumps({"query_text": "SELECT A FROM `p.d.t`"}),
+        json.dumps({"query_text": "CREATE TABLE `p.d.t` (A INT64)"}),  # ddl
+        "",                                                # blank: no id
+        json.dumps({"query_text": "SELECT B FROM `p.d.u`"}),
+        "[1, 2]",                                          # malformed
+        json.dumps({"query_text": "SELECT C FROM `p.d.v`"}),
+    ]) + "\n", encoding="utf-8")
+    out = tmp_path / "preds.tsv"
+    assert main(["predict", "--bundle", str(bundle), "--input", str(data),
+                 "--output", str(out)]) == EXIT_OK
+    ids = [ln.split("\t")[0] for ln in out.read_text().splitlines()]
+    assert ids == ["0", "2", "4"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+record_like = st.fixed_dictionaries(
+    {"query_text": st.sampled_from(
+        ["SELECT A FROM `p.d.t`", "DROP TABLE `p.d.t`", " ", "WITH ("])
+     | json_values},
+    optional={name: st.just(value) | st.none() | json_values
+              | st.integers(-3, 2 ** 64)
+              for name, value in generate(WorkloadConfig(
+                  n_queries=1, seed=3))[0].to_json_dict().items()
+              if name != "query_text"})
+raw_text = st.text(alphabet=st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=30)
+jsonl_lines = st.lists(st.one_of(record_like.map(json.dumps),
+                                 json_values.map(json.dumps), raw_text),
+                       max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jsonl_lines)
+def test_arbitrary_jsonl_counts_every_line_and_exits_cleanly(trained, lines):
+    _, _, bundle = trained
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.tsv"
+        data.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        non_blank = sum(1 for ln in lines if ln.strip())
+        for training in (True, False):
+            records, stats = ingest(data, training=training)
+            assert stats.balanced() and stats.read == non_blank
+            assert stats.positions == sorted(set(stats.positions))
+            assert len(records) == stats.kept == len(stats.positions)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["predict", "--bundle", str(bundle), "--input",
+                         str(data), "--output", str(out)])
+        # a documented exit code, and the clean one: every record is either
+        # priced or counted as dropped
+        assert code == EXIT_OK
+        ids = [int(ln.split("\t")[0]) for ln in out.read_text().splitlines()]
+        assert ids == stats.positions
 
 
 def test_advise_below_threshold(trained, tmp_path, capsys):
@@ -238,6 +369,17 @@ def test_version_mismatch_exit_code(trained, tmp_path, capsys):
     assert main(["predict", "--bundle", str(bumped), "--input", str(data),
                  "--output", str(out)]) == EXIT_VERSION
     assert "bundle version error" in capsys.readouterr().err
+
+
+def test_version_zero_bundle_is_io_error(trained, tmp_path, capsys):
+    _, data, bundle = trained
+    bad = tmp_path / "v0.sltb"
+    raw = bytearray(bundle.read_bytes())
+    raw[4:8] = (0).to_bytes(4, "little")
+    bad.write_bytes(bytes(raw))
+    assert main(["predict", "--bundle", str(bad), "--input", str(data),
+                 "--output", str(tmp_path / "p.tsv")]) == EXIT_IO
+    assert "file error" in capsys.readouterr().err
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

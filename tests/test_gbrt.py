@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naive_oracles import naive_forest_predict
 from slotcast import gbrt
-from slotcast.errors import DimensionMismatch, NonFiniteTarget, TooFewSamples
+from slotcast.errors import (CorruptBundle, DimensionMismatch,
+                             NonFiniteTarget, TooFewSamples)
 from slotcast.gbrt import BinMapper, Forest, GBRTConfig, histograms
 
 
@@ -66,9 +70,11 @@ def test_constant_target_all_trees_are_zero_leaves():
     y = np.full(50, 7.5)
     forest = gbrt.fit(x, y, small_config(iterations=10))
     assert forest.b0 == 7.5
-    for tree in forest.trees:
-        assert tree.feature.size == 1
-        assert tree.value[0] == 0.0
+    assert forest.n_trees == 10
+    for t in range(forest.n_trees):
+        start, end = forest.tree_offsets[t:t + 2]
+        assert end - start == 1
+        assert forest.node_value[start] == 0.0
     assert np.allclose(forest.predict(x), 7.5)
 
 
@@ -122,7 +128,7 @@ def test_predict_dimension_mismatch():
 def test_empty_forest_predicts_baseline():
     x = np.linspace(0, 1, 50).reshape(-1, 1)
     forest = gbrt.fit(x, 2.0 + x.ravel(), small_config(iterations=0))
-    assert forest.trees == []
+    assert forest.n_trees == 0 and forest.node_feature.size == 0
     assert np.allclose(forest.predict(x), (2.0 + x.ravel()).mean())
 
 
@@ -165,15 +171,17 @@ def test_split_gains_positive_and_histogram_consistency():
 
     # replay residuals to walk each tree's splits
     pred = np.full(y.shape, forest.b0)
-    for tree in forest.trees:
+    for start in forest.tree_offsets[:-1]:
         g = y - pred
+        tree_out = np.empty(x.shape[0])
         stack = [(0, np.arange(x.shape[0]))]
         while stack:
             nid, idx = stack.pop()
-            f = tree.feature[nid]
+            f = forest.node_feature[start + nid]
             if f < 0:
+                tree_out[idx] = forest.node_value[start + nid]
                 continue
-            b = tree.threshold[nid]
+            b = forest.node_threshold[start + nid]
             go_left = xb[idx, f] <= b
             li, ri = idx[go_left], idx[~go_left]
             assert li.size >= config.min_samples_leaf
@@ -188,9 +196,9 @@ def test_split_gains_positive_and_histogram_consistency():
             gain = (sl ** 2 / li.size + sr ** 2 / ri.size
                     - sp_ ** 2 / idx.size)
             assert gain > 0
-            stack.append((tree.left[nid], li))
-            stack.append((tree.right[nid], ri))
-        pred = pred + config.learning_rate * tree.predict_binned(xb)
+            stack.append((forest.node_left[start + nid], li))
+            stack.append((forest.node_right[start + nid], ri))
+        pred = pred + config.learning_rate * tree_out
 
 
 def test_missing_feature_rows_predict_deterministically():
@@ -211,8 +219,9 @@ def test_leaf_count_within_budget():
     y = x[:, 0] ** 2 + x[:, 1]
     forest = gbrt.fit(x, y, GBRTConfig(iterations=5, max_leaves=31,
                                        min_samples_leaf=20))
-    for tree in forest.trees:
-        assert tree.n_leaves <= 31
+    for t in range(forest.n_trees):
+        start, end = forest.tree_offsets[t:t + 2]
+        assert np.sum(forest.node_feature[start:end] < 0) <= 31
 
 
 def test_state_roundtrip_identical_predictions():
@@ -223,3 +232,121 @@ def test_state_roundtrip_identical_predictions():
     meta, arrays = forest.get_state()
     restored = Forest.from_state(meta, arrays)
     assert np.array_equal(forest.predict(x), restored.predict(x))
+
+
+# ---------------------------------------------------------------------------
+# Flat-forest inference against a naive per-row, per-tree walk
+# ---------------------------------------------------------------------------
+
+def assert_bit_identical(got, want):
+    want = np.asarray(want, dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def rows_with_gaps(rng, n, d):
+    x = rng.normal(size=(n, d)).round(1)  # repeated values hit bin edges
+    x[rng.random((n, d)) < 0.15] = np.nan
+    x[rng.random((n, d)) < 0.03] = np.inf
+    return x
+
+
+@st.composite
+def small_forests(draw):
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    n, d = draw(st.integers(20, 120)), draw(st.integers(1, 4))
+    x = rng.normal(size=(n, d)).round(draw(st.sampled_from([0, 1, 3])))
+    if draw(st.booleans()):  # a partly or wholly missing column
+        x[rng.random(n) < draw(st.sampled_from([0.3, 1.0])),
+          int(rng.integers(d))] = np.nan
+    if draw(st.booleans()):  # constant target: root-only trees
+        y = np.full(n, 1.25)
+    else:
+        y = np.nan_to_num(x[:, 0]) * 2.0 + rng.normal(size=n)
+    config = GBRTConfig(
+        learning_rate=draw(st.sampled_from([0.07, 0.3, 1.0])),
+        iterations=draw(st.integers(0, 12)),
+        max_leaves=draw(st.integers(2, 12)),
+        min_samples_leaf=draw(st.integers(1, n // 2)), seed=seed)
+    forest = gbrt.fit(x, y, config)
+    m = draw(st.sampled_from([0, 1, 2, 17]))
+    return forest, rows_with_gaps(rng, m, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forests())
+def test_predict_matches_naive_walk_bit_for_bit(case):
+    forest, x = case
+    assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
+
+
+@pytest.fixture(scope="module")
+def big_forest():
+    """A forest with enough nodes that a 150-row batch spans row blocks."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(400, 3))
+    x[rng.random(400) < 0.1, 2] = np.nan
+    y = np.sin(x[:, 0]) + x[:, 1] ** 2 + rng.normal(size=400) * 0.1
+    forest = gbrt.fit(x, y, small_config(iterations=180))
+    return forest, rows_with_gaps(rng, 150, 3)
+
+
+def test_block_crossing_batch_matches_naive_walk(big_forest):
+    forest, x = big_forest
+    block = max(1, 2 ** 19 // forest.node_feature.size)
+    assert 1 < block < x.shape[0] // 2  # three or more blocks
+    assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
+    assert_bit_identical(forest.predict(x[:1]),
+                         naive_forest_predict(forest, x[:1]))
+    assert forest.predict(x[:0]).shape == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 149), max_size=80))
+def test_row_subset_equals_slice_of_full_batch(big_forest, rows):
+    forest, x = big_forest
+    rows = np.array(rows, dtype=np.intp)
+    assert_bit_identical(forest.predict(x[rows]), forest.predict(x)[rows])
+
+
+# ---------------------------------------------------------------------------
+# Loading validates the node arrays the walk indexes directly
+# ---------------------------------------------------------------------------
+
+def corrupted_state(edit):
+    x = np.linspace(0, 1, 200).reshape(-1, 2)
+    forest = gbrt.fit(x, x[:, 0] * 3, small_config(iterations=4))
+    meta, arrays = forest.get_state()
+    arrays = {k: v.copy() for k, v in arrays.items()}
+    inner = int(np.flatnonzero(arrays["node_feature"] >= 0)[-1])
+    edit(arrays, inner)
+    return meta, arrays
+
+
+def _set(name, value):
+    def edit(arrays, inner):
+        arrays[name][inner] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("node_left", 0),            # points back at the root: a cycle
+    _set("node_right", -1),          # before its parent
+    _set("node_left", 10_000),       # beyond its tree
+    _set("node_feature", 2),         # only features 0 and 1 exist
+    _set("node_feature", -2),
+    _set("node_threshold", 256),     # does not fit a uint8 bin
+    _set("node_threshold", -1),
+    lambda a, i: a.update(tree_offsets=a["tree_offsets"][::-1].copy()),
+    lambda a, i: a.update(tree_offsets=a["tree_offsets"][:-1].copy()),
+    lambda a, i: a.update(node_value=a["node_value"][:-1].copy()),
+    lambda a, i: a.update(edge_offsets=a["edge_offsets"] + 1),
+], ids=["cycle", "child-before-parent", "child-outside-tree",
+        "feature-too-large", "feature-below-leaf-marker", "threshold-256",
+        "threshold-negative", "offsets-decreasing", "offsets-short",
+        "values-short", "edge-offsets"])
+def test_from_state_rejects_unwalkable_arrays(edit):
+    meta, arrays = corrupted_state(edit)
+    with pytest.raises(CorruptBundle):
+        Forest.from_state(meta, arrays)

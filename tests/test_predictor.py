@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -207,6 +209,47 @@ def test_version_bump_rejected(bundle):
     data[4:8] = (predictor.FORMAT_VERSION + 1).to_bytes(4, "little")
     with pytest.raises(BundleVersionMismatch):
         deserialize_bundle(bytes(data))
+
+
+def test_version_zero_rejected(bundle):
+    data = bytearray(serialize_bundle(bundle))
+    data[4:8] = (0).to_bytes(4, "little")
+    with pytest.raises(CorruptBundle):
+        deserialize_bundle(bytes(data))
+
+
+def resigned(data: bytes, name: str, edit) -> bytes:
+    """The bundle with one named array edited in place and the SHA-256
+    trailer recomputed, so only the content checks can catch the edit."""
+    header_len = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + header_len])
+    body = bytearray(data[:-32])
+    offset = 16 + header_len
+    for spec in header["arrays"]:
+        dtype = np.dtype(spec["dtype"])
+        nbytes = dtype.itemsize * int(np.prod(spec["shape"]))
+        if spec["name"] == name:
+            arr = np.frombuffer(bytes(body[offset:offset + nbytes]),
+                                dtype=dtype).copy()
+            edit(arr)
+            body[offset:offset + nbytes] = arr.tobytes()
+        offset += nbytes
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+def test_resigned_bundle_with_flipped_child_id_rejected(bundle):
+    route = sorted(bundle.forests)[0]
+    assert bundle.forests[route].node_feature[0] >= 0  # the root splits
+    def left_child_of_root_is_root(node_left):
+        node_left[0] = 0
+
+    data = serialize_bundle(bundle)
+    assert deserialize_bundle(resigned(data, f"forest.{route}.node_left",
+                                       lambda a: None)).forests
+    flipped = resigned(data, f"forest.{route}.node_left",
+                       left_child_of_root_is_root)
+    with pytest.raises(CorruptBundle):
+        deserialize_bundle(flipped)
 
 
 def test_retrain_byte_identical(workload, small_train_config):
