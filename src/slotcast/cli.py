@@ -110,17 +110,25 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
 # Config files (flat key=value)
 # ---------------------------------------------------------------------------
 
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; other bytes are a file error (exit 74)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                      f"{exc.start})") from None
+
+
 def load_config_file(path) -> Dict[str, str]:
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
+    for line in _read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"expected key=value, got {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -183,7 +191,7 @@ def workload_config_from_values(values: Dict[str, str]) -> synth.WorkloadConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    sql = Path(args.query_file).read_text(encoding="utf-8")
+    sql = _read_text(args.query_file)
     report = analyze_sql(sql)
     for kind in OPERATOR_KINDS:
         count = report.counts[kind]
@@ -244,7 +252,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_advise(args) -> int:
     bundle = predictor.load_bundle(args.bundle)
-    sql = Path(args.query_file).read_text(encoding="utf-8")
+    sql = _read_text(args.query_file)
     record = QueryRecord(query_text=sql)
     res = predictor.predict(bundle, record)
     print(f"predicted slot-minutes: {res.slot_min:.6f} "

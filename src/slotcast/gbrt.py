@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (CorruptBundle, DimensionMismatch, NonFiniteTarget,
-                     TooFewSamples)
+from .errors import (ConfigError, CorruptBundle, DimensionMismatch,
+                     NonFiniteTarget, TooFewSamples)
 
-_BINS = 256  # histogram width per feature (value bins + reserved missing bin)
+_BINS = 256  # widest histogram a feature can have (value bins + missing bin)
+_NARROW = 16  # widest feature that HistLayout keeps in its narrow block
 
 
 @dataclass
@@ -30,11 +33,39 @@ class GBRTConfig:
     seed: int = 0
     binning_sample: int = 100_000
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError naming the first field out of range. Bins must
+        fit the uint8 bin matrix and its histograms (max_bins <= 256), a
+        leaf needs a row and a tree room for one split."""
+        real, integer = numbers.Real, numbers.Integral
+        for name, kind, ok, want in (
+                ("learning_rate", real, lambda v: v > 0, "> 0"),
+                ("iterations", integer, lambda v: v >= 0, ">= 0"),
+                ("max_leaves", integer, lambda v: v >= 2, ">= 2"),
+                ("min_samples_leaf", integer, lambda v: v >= 1, ">= 1"),
+                ("l2", real, lambda v: v >= 0, ">= 0"),
+                ("max_bins", integer, lambda v: 2 <= v <= _BINS,
+                 f"in 2..{_BINS}"),
+                ("seed", integer, lambda v: v >= 0, ">= 0"),
+                ("binning_sample", integer, lambda v: v >= 0, ">= 0")):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, kind)
+                    or not (kind is integer or math.isfinite(v)) or not ok(v)):
+                what = "an integer" if kind is integer else "a finite number"
+                raise ConfigError(f"gbrt.{name}: {v!r} is not {what} {want}")
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GBRTConfig":
+        """Inverse of to_dict: every field must be present."""
+        missing = sorted({f.name for f in fields(cls)} - set(d))
+        if missing:
+            raise ConfigError(f"gbrt config lacks {', '.join(missing)}")
         return cls(**d)
 
 
@@ -90,96 +121,137 @@ class BinMapper:
         return out
 
 
-def histograms(xb: np.ndarray, idx: np.ndarray,
-               g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-feature (gradient-sum, count) histograms for the given rows."""
-    n_feat = xb.shape[1]
-    flat = xb[idx].astype(np.int64) + np.arange(n_feat, dtype=np.int64) * _BINS
-    flat = flat.ravel()
-    w = np.broadcast_to(g[idx][:, None], (idx.size, n_feat)).ravel()
-    g_hist = np.bincount(flat, weights=w, minlength=n_feat * _BINS)
-    c_hist = np.bincount(flat, minlength=n_feat * _BINS)
-    return (g_hist.reshape(n_feat, _BINS),
-            c_hist.reshape(n_feat, _BINS).astype(np.float64))
+class HistLayout:
+    """Where each feature's bins sit in one flat histogram, laid out once per
+    fit from the bin edges. Feature f has len(edges) + 2 bins: its value
+    bins, then its missing bin. Features of at most _NARROW bins (binary and
+    small categorical columns) form a narrow block and all others a wide
+    block, each of (members x width) bins, width being the block's widest
+    member; the padding bins stay empty, so no split lands in them.
+
+    Two blocks keep a split search's cost a function of the feature count.
+    A text-SVD column gets about 233 bins where it holds at most 254
+    distinct values (one bin per value) but about 72 where it holds more
+    (quantile bins merge on repeated values); with blocks sized to each
+    feature's own bins, training took a quarter longer on the first kind
+    of data set than on the second, at the same shape."""
+
+    def __init__(self, bin_edges: List[np.ndarray]):
+        widths = np.array([len(e) + 2 for e in bin_edges], dtype=np.int64)
+        self.offsets = np.empty(widths.size, dtype=np.int64)  # of each bin 0
+        self.blocks: List[Tuple[int, int, int]] = []  # (start, members, width)
+        ranks = [np.empty(0, dtype=np.int64)]
+        start = 0
+        for members in (np.flatnonzero(widths <= _NARROW),
+                        np.flatnonzero(widths > _NARROW)):
+            if not members.size:
+                continue
+            width = int(widths[members].max())
+            self.offsets[members] = start + np.arange(members.size) * width
+            self.blocks.append((start, members.size, width))
+            ranks.append((members[:, None] * _BINS + np.arange(width)).ravel())
+            start += members.size * width
+        # feature * _BINS + bin of every slot: orders slots feature-major
+        self.rank = np.concatenate(ranks)
+        self.size = start
 
 
-def _best_split(g_hist: np.ndarray, c_hist: np.ndarray, sum_g: float,
-                cnt: float, min_leaf: int, l2: float
+def histograms(xb: np.ndarray, idx: np.ndarray, g: np.ndarray,
+               layout: HistLayout) -> np.ndarray:
+    """Gradient sums (row 0) and row counts (row 1) of the given rows per
+    feature bin, in layout's flat order."""
+    flat = (xb[idx] + layout.offsets).ravel()
+    w = np.broadcast_to(g[idx][:, None], (idx.size, xb.shape[1])).ravel()
+    hist = np.empty((2, layout.size))
+    hist[0] = np.bincount(flat, weights=w, minlength=layout.size)
+    hist[1] = np.bincount(flat, minlength=layout.size)
+    return hist
+
+
+def _best_split(hist: np.ndarray, sum_g: float, cnt: float, min_leaf: int,
+                l2: float, layout: HistLayout
                 ) -> Optional[Tuple[float, int, int]]:
-    """Maximize variance-reduction gain; ties break on lowest feature then
-    lowest bin (row-major argmax)."""
-    left_g = np.cumsum(g_hist, axis=1)[:, :-1]
-    left_c = np.cumsum(c_hist, axis=1)[:, :-1]
+    """Maximize variance-reduction gain over every (feature, bin) split, the
+    bin going left; ties break on lowest feature then lowest bin. The gain
+    is computed at every slot, so the cost does not depend on how many
+    splits are valid."""
+    left = np.empty_like(hist)
+    for start, members, width in layout.blocks:
+        block = slice(start, start + members * width)
+        np.cumsum(hist[:, block].reshape(2, members, width), axis=2,
+                  out=left[:, block].reshape(2, members, width))
+    left_g, left_c = left
     right_g = sum_g - left_g
     right_c = cnt - left_c
-    valid = (left_c >= min_leaf) & (right_c >= min_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = (left_g ** 2 / (left_c + l2)
                 + right_g ** 2 / (right_c + l2)
                 - sum_g ** 2 / (cnt + l2))
-    gain = np.where(valid, gain, -np.inf)
-    best = int(np.argmax(gain))
-    f, b = divmod(best, gain.shape[1])
-    if not np.isfinite(gain[f, b]) or gain[f, b] <= 1e-12:
+    # a feature's last bin and its padding put every row left: never valid
+    np.copyto(gain, -np.inf, where=np.minimum(left_c, right_c) < min_leaf)
+    best = gain.max(initial=-np.inf)  # NaN if any valid gain is NaN
+    if not np.isfinite(best) or best <= 1e-12:
         return None
-    return float(gain[f, b]), f, b
+    f, b = divmod(int(layout.rank[gain == best].min()), _BINS)
+    return float(best), f, b
 
 
-def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig
-               ) -> Tuple[List[list], np.ndarray]:
+def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig,
+               layout: HistLayout) -> Tuple[List[list], np.ndarray]:
     """Grow one tree on residuals g; returns its nodes as [feature,
     threshold, left, right, value] rows, children after their parent, and
-    its per-row output."""
+    its per-row output. Only a node that may still be split gets a
+    histogram and a split search: it needs 2 * min_samples_leaf rows and
+    a leaf budget that outlasts its parent's split."""
     n = xb.shape[0]
+    min_leaf, l2 = config.min_samples_leaf, config.l2
     nodes: List[list] = [[-1, 0, -1, -1, 0.0]]
     out = np.empty(n)
 
-    root_idx = np.arange(n)
-    g_hist, c_hist = histograms(xb, root_idx, g)
-    sum_g, cnt = float(g[root_idx].sum()), float(n)
-
     def leaf_value(s: float, c: float) -> float:
-        return s / (c + config.l2) if c + config.l2 > 0 else 0.0
+        return s / (c + l2) if c + l2 > 0 else 0.0
 
     tick = itertools.count()  # heap tiebreak: first pushed pops first
+    # heap entries: (-gain, tiebreak, node id, split, histogram, gradient sum)
     heap: List[tuple] = []
-    split = _best_split(g_hist, c_hist, sum_g, cnt,
-                        config.min_samples_leaf, config.l2)
-    # heap entries: (-gain, tiebreak counter, node_id, split)
-    state: Dict[int, tuple] = {0: (root_idx, g_hist, c_hist, sum_g, cnt)}
-    if split is not None:
-        heapq.heappush(heap, (-split[0], next(tick), 0, split))
+
+    def push(nid: int, hist: np.ndarray, s: float, c: float) -> None:
+        split = _best_split(hist, s, c, min_leaf, l2, layout)
+        if split is not None:
+            heapq.heappush(heap, (-split[0], next(tick), nid, split, hist, s))
+
+    root_idx = np.arange(n)
+    sum_g, cnt = float(g[root_idx].sum()), float(n)
+    leaves: Dict[int, np.ndarray] = {0: root_idx}  # unsplit node -> its rows
+    if n >= 2 * min_leaf:
+        push(0, histograms(xb, root_idx, g, layout), sum_g, cnt)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
-        _, _, nid, (gain, f, b) = heapq.heappop(heap)
-        idx, gh, ch, sg, c = state.pop(nid)
+        _, _, nid, (_, f, b), hist, sg = heapq.heappop(heap)
+        idx = leaves.pop(nid)
         go_left = xb[idx, f] <= b
         li, ri = idx[go_left], idx[~go_left]
-        # compute the smaller child's histogram; sibling by subtraction
-        if li.size <= ri.size:
-            lgh, lch = histograms(xb, li, g)
-            rgh, rch = gh - lgh, ch - lch
-        else:
-            rgh, rch = histograms(xb, ri, g)
-            lgh, lch = gh - rgh, ch - rch
-        lsg, rsg = float(g[li].sum()), float(sg - g[li].sum())
+        hists = [None, None]
+        if (n_leaves + 1 < config.max_leaves
+                and max(li.size, ri.size) >= 2 * min_leaf):
+            # compute the smaller child's histogram; sibling by subtraction
+            small = int(li.size > ri.size)
+            hists[small] = histograms(xb, (li, ri)[small], g, layout)
+            hists[1 - small] = hist - hists[small]
+        left_sum = g[li].sum()
         nodes[nid][:4] = [f, b, len(nodes), len(nodes) + 1]
-        for child_idx, cgh, cch, csg in ((li, lgh, lch, lsg),
-                                         (ri, rgh, rch, rsg)):
-            cid = len(nodes)
-            nodes.append([-1, 0, -1, -1, leaf_value(csg, float(child_idx.size))])
-            state[cid] = (child_idx, cgh, cch, csg, float(child_idx.size))
-            csplit = _best_split(cgh, cch, csg, float(child_idx.size),
-                                 config.min_samples_leaf, config.l2)
-            if csplit is not None:
-                heapq.heappush(heap, (-csplit[0], next(tick), cid, csplit))
+        for child_idx, chist, csg in ((li, hists[0], float(left_sum)),
+                                      (ri, hists[1], float(sg - left_sum))):
+            cid, c = len(nodes), float(child_idx.size)
+            nodes.append([-1, 0, -1, -1, leaf_value(csg, c)])
+            leaves[cid] = child_idx
+            if chist is not None and c >= 2 * min_leaf:
+                push(cid, chist, csg, c)
         n_leaves += 1
 
     if len(nodes) == 1:  # root stayed a leaf
         nodes[0][4] = leaf_value(sum_g, cnt)
-
-    # every leaf (including an unsplit root) remains in `state`
-    for nid, (idx, _, _, _, _) in state.items():
+    for nid, idx in leaves.items():
         out[idx] = nodes[nid][4]
     return nodes, out
 
@@ -303,6 +375,7 @@ def fit(features: np.ndarray, targets: np.ndarray,
         config: Optional[GBRTConfig] = None) -> Forest:
     """Train a forest on log-space targets with squared-error loss."""
     config = config or GBRTConfig()
+    config.validate()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -316,6 +389,7 @@ def fit(features: np.ndarray, targets: np.ndarray,
     mapper = BinMapper.fit(x, max_bins=config.max_bins,
                            sample=config.binning_sample, seed=config.seed)
     xb = mapper.transform(x)
+    layout = HistLayout(mapper.bin_edges)
     b0 = float(y.mean())
     pred = np.full(y.shape, b0)
     nodes: List[list] = []
@@ -323,7 +397,7 @@ def fit(features: np.ndarray, targets: np.ndarray,
     losses = np.empty(config.iterations)
     for m in range(config.iterations):
         residual = y - pred
-        tree, out = _grow_tree(xb, residual, config)
+        tree, out = _grow_tree(xb, residual, config, layout)
         pred = pred + config.learning_rate * out
         nodes.extend(tree)
         sizes.append(len(tree))

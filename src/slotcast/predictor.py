@@ -31,6 +31,8 @@ from .sql_analyzer import clean_query, complexity_score
 
 FORMAT_VERSION = 1
 _MAGIC = b"SLTB"
+_HEADER_KEYS = {"format_version", "router", "metadata", "featurizer",
+                "forests", "arrays"}
 
 ROUTE_SIMPLE = "simple"
 ROUTE_COMPLEX = "complex"
@@ -256,15 +258,32 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         header = json.loads(data[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptBundle("unreadable header") from exc
-    if header.get("format_version") != version:
+    if not isinstance(header, dict):
+        raise CorruptBundle("header is not a JSON object")
+    missing = _HEADER_KEYS - set(header)
+    if missing:
+        raise CorruptBundle(f"header lacks {', '.join(sorted(missing))}")
+    if not isinstance(header["metadata"], dict):
+        raise CorruptBundle("header metadata is not a JSON object")
+    if header["format_version"] != version:
         raise CorruptBundle("header and file disagree on the format version")
-    offset = 16 + header_len
+    try:
+        return _bundle_from_header(
+            header, memoryview(body)[16 + header_len:], version)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # a header the checksum vouches for but not in the shape written
+        raise CorruptBundle(f"malformed header: {exc!r}") from exc
+
+
+def _bundle_from_header(header: dict, payload: memoryview,
+                        version: int) -> ModelBundle:
+    offset = 0
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
         dtype = np.dtype(spec["dtype"])
         count = int(np.prod(spec["shape"])) if spec["shape"] else 1
         nbytes = dtype.itemsize * count
-        chunk = body[offset:offset + nbytes]
+        chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CorruptBundle("truncated array payload")
         arrays[spec["name"]] = np.frombuffer(
@@ -280,8 +299,12 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         forests[route] = Forest.from_state(
             meta, {k[len(prefix):]: v for k, v in arrays.items()
                    if k.startswith(prefix)})
+    router = header["router"]
+    if (set(router) != {"threshold", "min_subset"}
+            or any(type(v) is not int for v in router.values())):
+        raise CorruptBundle("router needs integer threshold and min_subset")
     return ModelBundle(format_version=version, featurizer=featurizer,
-                       router=Router(**header["router"]), forests=forests,
+                       router=Router(**router), forests=forests,
                        metadata=header["metadata"])
 
 

@@ -5,8 +5,12 @@ character scanning instead of token-stream rules; nested loops instead of
 vectorized math) so they can serve as oracles.
 """
 import bisect
+import heapq
+import itertools
 import math
 import re
+
+import numpy as np
 
 
 def naive_operator_counts(cleaned_text: str) -> dict:
@@ -161,3 +165,124 @@ def naive_forest_predict(forest, x):
             pred = pred + lr * value[node]
         out.append(pred)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Tree growing as it was before the split-search guard and the per-feature
+# histogram widths: every histogram 256 bins wide, every child searched
+# ---------------------------------------------------------------------------
+
+_BINS = 256
+
+
+def _naive_histograms(xb, idx, g):
+    n_feat = xb.shape[1]
+    flat = xb[idx].astype(np.int64) + np.arange(n_feat, dtype=np.int64) * _BINS
+    flat = flat.ravel()
+    w = np.broadcast_to(g[idx][:, None], (idx.size, n_feat)).ravel()
+    g_hist = np.bincount(flat, weights=w, minlength=n_feat * _BINS)
+    c_hist = np.bincount(flat, minlength=n_feat * _BINS)
+    return (g_hist.reshape(n_feat, _BINS),
+            c_hist.reshape(n_feat, _BINS).astype(np.float64))
+
+
+def _naive_best_split(g_hist, c_hist, sum_g, cnt, min_leaf, l2):
+    left_g = np.cumsum(g_hist, axis=1)[:, :-1]
+    left_c = np.cumsum(c_hist, axis=1)[:, :-1]
+    right_g = sum_g - left_g
+    right_c = cnt - left_c
+    valid = (left_c >= min_leaf) & (right_c >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = (left_g ** 2 / (left_c + l2)
+                + right_g ** 2 / (right_c + l2)
+                - sum_g ** 2 / (cnt + l2))
+    gain = np.where(valid, gain, -np.inf)
+    best = int(np.argmax(gain))
+    f, b = divmod(best, gain.shape[1])
+    if not np.isfinite(gain[f, b]) or gain[f, b] <= 1e-12:
+        return None
+    return float(gain[f, b]), f, b
+
+
+def _naive_grow_tree(xb, g, config):
+    n = xb.shape[0]
+    nodes = [[-1, 0, -1, -1, 0.0]]
+    out = np.empty(n)
+
+    root_idx = np.arange(n)
+    g_hist, c_hist = _naive_histograms(xb, root_idx, g)
+    sum_g, cnt = float(g[root_idx].sum()), float(n)
+
+    def leaf_value(s, c):
+        return s / (c + config.l2) if c + config.l2 > 0 else 0.0
+
+    tick = itertools.count()
+    heap = []
+    split = _naive_best_split(g_hist, c_hist, sum_g, cnt,
+                              config.min_samples_leaf, config.l2)
+    state = {0: (root_idx, g_hist, c_hist, sum_g, cnt)}
+    if split is not None:
+        heapq.heappush(heap, (-split[0], next(tick), 0, split))
+    n_leaves = 1
+    while heap and n_leaves < config.max_leaves:
+        _, _, nid, (gain, f, b) = heapq.heappop(heap)
+        idx, gh, ch, sg, c = state.pop(nid)
+        go_left = xb[idx, f] <= b
+        li, ri = idx[go_left], idx[~go_left]
+        if li.size <= ri.size:
+            lgh, lch = _naive_histograms(xb, li, g)
+            rgh, rch = gh - lgh, ch - lch
+        else:
+            rgh, rch = _naive_histograms(xb, ri, g)
+            lgh, lch = gh - rgh, ch - rch
+        lsg, rsg = float(g[li].sum()), float(sg - g[li].sum())
+        nodes[nid][:4] = [f, b, len(nodes), len(nodes) + 1]
+        for child_idx, cgh, cch, csg in ((li, lgh, lch, lsg),
+                                         (ri, rgh, rch, rsg)):
+            cid = len(nodes)
+            nodes.append([-1, 0, -1, -1,
+                          leaf_value(csg, float(child_idx.size))])
+            state[cid] = (child_idx, cgh, cch, csg, float(child_idx.size))
+            csplit = _naive_best_split(cgh, cch, csg, float(child_idx.size),
+                                       config.min_samples_leaf, config.l2)
+            if csplit is not None:
+                heapq.heappush(heap, (-csplit[0], next(tick), cid, csplit))
+        n_leaves += 1
+
+    if len(nodes) == 1:
+        nodes[0][4] = leaf_value(sum_g, cnt)
+    for nid, (idx, _, _, _, _) in state.items():
+        out[idx] = nodes[nid][4]
+    return nodes, out
+
+
+def naive_fit(features, targets, config):
+    """gbrt.fit's result grown the unguarded, 256-bins-wide way.
+
+    Returns (b0, node arrays as gbrt.Forest names them, train_losses); the
+    binning is gbrt.BinMapper's, which this oracle does not test.
+    """
+    from slotcast.gbrt import BinMapper
+
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    mapper = BinMapper.fit(x, max_bins=config.max_bins,
+                           sample=config.binning_sample, seed=config.seed)
+    xb = mapper.transform(x)
+    b0 = float(y.mean())
+    pred = np.full(y.shape, b0)
+    nodes, sizes = [], [0]
+    losses = np.empty(config.iterations)
+    for m in range(config.iterations):
+        tree, out = _naive_grow_tree(xb, y - pred, config)
+        pred = pred + config.learning_rate * out
+        nodes.extend(tree)
+        sizes.append(len(tree))
+        losses[m] = float(np.mean((y - pred) ** 2))
+    columns = [np.array(c, dtype=d) for c, d in zip(
+        list(zip(*nodes)) or [()] * 5, (np.int32,) * 4 + (np.float64,))]
+    names = ("node_feature", "node_threshold", "node_left", "node_right",
+             "node_value")
+    arrays = dict(zip(names, columns))
+    arrays["tree_offsets"] = np.cumsum(sizes).astype(np.int64)
+    return b0, arrays, losses

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -177,6 +178,22 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "m.sltb").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "gbrt.max_bins = 400", "gbrt.iterations = -1", "gbrt.learning_rate = nan",
+    "gbrt.learning_rate = 0", "gbrt.max_leaves = 1",
+    "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1", "gbrt.binning_sample = -1"])
+def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
+    data = tmp_path / "w.jsonl"
+    write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["train", "--input", str(data), "--output-bundle",
+                 str(tmp_path / "m.sltb"), "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + line.split(" ")[0])
+    assert not (tmp_path / "m.sltb").exists()
+
+
 def test_config_keys_of_either_command_accepted(tmp_path):
     values = {"synth.noise_sigma": "0.1", "oracle.sigma": "0.2",
               "featurizer.cache": "x"}
@@ -346,6 +363,85 @@ def test_usage_error_missing_argument(capsys):
 def test_missing_file_is_io_error(capsys):
     assert main(["analyze", "--query-file", "/nonexistent/q.sql"]) == EXIT_IO
     assert "file error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "advise", "config"])
+def test_non_utf8_text_file_is_io_error(trained, tmp_path, capsys, command):
+    _, data, bundle = trained
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"SELECT \xff FROM t\n")
+    argv = {"analyze": ["analyze", "--query-file", str(bad)],
+            "advise": ["advise", "--bundle", str(bundle), "--query-file",
+                       str(bad), "--warn-threshold", "1"],
+            "config": ["train", "--input", str(data), "--output-bundle",
+                       str(tmp_path / "m.sltb"), "--config", str(bad)]}
+    assert main(argv[command]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("file error: ")
+    assert "not UTF-8" in captured.err and captured.out == ""
+
+
+def resigned_header(data: bytes, edit) -> bytes:
+    """The bundle with its JSON header edited and the SHA-256 trailer
+    recomputed, so only the header checks can catch the edit."""
+    header_len = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + header_len])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    body = (data[:8] + len(text).to_bytes(8, "little") + text
+            + data[16 + header_len:-32])
+    return body + hashlib.sha256(body).digest()
+
+
+def _drop(key):
+    return lambda header: header.pop(key)
+
+
+def _forest_config(field, value):
+    def edit(header):
+        for meta in header["forests"].values():
+            meta["config"][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("format_version"), _drop("router"), _drop("metadata"),
+    _drop("featurizer"), _drop("forests"), _drop("arrays"),
+    lambda h: h["router"].update(extra=1),
+    lambda h: h["router"].pop("threshold"),
+    lambda h: h["router"].update(threshold="26"),
+    lambda h: h.update(metadata=[]),
+    lambda h: h["featurizer"].pop("vocabulary"),
+    lambda h: h["arrays"][0].pop("dtype"),
+    lambda h: h["arrays"][0].update(shape="x"),
+    lambda h: next(iter(h["forests"].values())).pop("b0"),
+    _forest_config("max_bins", 400), _forest_config("learning_rate", -1),
+    _forest_config("unknown", 1),
+    lambda h: [m["config"].pop("learning_rate") for m in h["forests"].values()],
+], ids=["no-format_version", "no-router", "no-metadata", "no-featurizer",
+        "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
+        "router-threshold-string",
+        "metadata-list", "featurizer-missing-key", "array-spec-no-dtype",
+        "array-shape-string", "forest-no-b0", "config-max_bins-400",
+        "config-negative-learning_rate", "config-unknown-key",
+        "config-missing-key"])
+def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):
+    _, data, bundle = trained
+    bad = tmp_path / "bad.sltb"
+    bad.write_bytes(resigned_header(bundle.read_bytes(), edit))
+    assert main(["predict", "--bundle", str(bad), "--input", str(data),
+                 "--output", str(tmp_path / "p.tsv")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("file error: ")
+
+
+def test_resigned_unedited_header_still_loads(trained, tmp_path):
+    _, data, bundle = trained
+    raw = bundle.read_bytes()
+    same = tmp_path / "same.sltb"
+    same.write_bytes(resigned_header(raw, lambda header: None))
+    assert same.read_bytes() != raw  # the header was re-encoded
+    assert main(["predict", "--bundle", str(same), "--input", str(data),
+                 "--output", str(tmp_path / "p.tsv")]) == EXIT_OK
 
 
 def test_corrupt_bundle_is_io_error(trained, tmp_path, capsys):

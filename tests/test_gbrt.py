@@ -1,13 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_oracles import naive_forest_predict
+from naive_oracles import naive_fit, naive_forest_predict
 from slotcast import gbrt
-from slotcast.errors import (CorruptBundle, DimensionMismatch,
+from slotcast.errors import (ConfigError, CorruptBundle, DimensionMismatch,
                              NonFiniteTarget, TooFewSamples)
-from slotcast.gbrt import BinMapper, Forest, GBRTConfig, histograms
+from slotcast.gbrt import (BinMapper, Forest, GBRTConfig, HistLayout,
+                           histograms)
 
 
 def small_config(**kwargs):
@@ -168,6 +171,7 @@ def test_split_gains_positive_and_histogram_consistency():
     config = small_config(iterations=3)
     forest = gbrt.fit(x, y, config)
     xb = forest.bin_mapper.transform(x)
+    layout = HistLayout(forest.bin_mapper.bin_edges)
 
     # replay residuals to walk each tree's splits
     pred = np.full(y.shape, forest.b0)
@@ -186,9 +190,9 @@ def test_split_gains_positive_and_histogram_consistency():
             li, ri = idx[go_left], idx[~go_left]
             assert li.size >= config.min_samples_leaf
             assert ri.size >= config.min_samples_leaf
-            pg, pc = histograms(xb, idx, g)
-            lg, lc = histograms(xb, li, g)
-            rg, rc = histograms(xb, ri, g)
+            pg, pc = histograms(xb, idx, g, layout)
+            lg, lc = histograms(xb, li, g, layout)
+            rg, rc = histograms(xb, ri, g, layout)
             assert np.allclose(pg, lg + rg, atol=1e-9)
             assert np.allclose(pc, lc + rc)
             # variance-reduction gain of the accepted split is positive
@@ -232,6 +236,127 @@ def test_state_roundtrip_identical_predictions():
     meta, arrays = forest.get_state()
     restored = Forest.from_state(meta, arrays)
     assert np.array_equal(forest.predict(x), restored.predict(x))
+
+
+# ---------------------------------------------------------------------------
+# Split search against the unguarded, 256-bins-wide oracle
+# ---------------------------------------------------------------------------
+
+def column(rng, kind, n):
+    if kind == "missing":
+        return np.full(n, np.nan)
+    col = {"binary": lambda: rng.integers(0, 2, n).astype(float),
+           "dense": lambda: rng.normal(size=n),  # n distinct values
+           "rounded": lambda: rng.normal(size=n).round(1),
+           "counts": lambda: rng.poisson(4.0, n).astype(float)}[kind]()
+    col[rng.random(n) < 0.1] = np.nan
+    return col
+
+
+@st.composite
+def fit_cases(draw):
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    # above 255 rows a dense column has more distinct values than bins
+    n = draw(st.one_of(st.integers(40, 120), st.integers(256, 300)))
+    kinds = draw(st.lists(st.sampled_from(
+        ["missing", "binary", "dense", "rounded", "counts"]),
+        min_size=1, max_size=6))
+    x = np.column_stack([column(rng, k, n) for k in kinds])
+    if draw(st.booleans()):  # constant target: root-only trees
+        y = np.full(n, -0.5)
+    else:
+        z = np.nan_to_num(x)
+        y = z[:, 0] + np.sin(z[:, -1]) + rng.normal(size=n) * 0.3
+    config = GBRTConfig(
+        learning_rate=draw(st.sampled_from([0.07, 0.5])),
+        iterations=draw(st.integers(0, 8)),
+        max_leaves=draw(st.integers(2, 31)),
+        min_samples_leaf=draw(st.integers(1, min(25, n // 2))),
+        l2=draw(st.sampled_from([0.0, 1.5])),
+        max_bins=draw(st.sampled_from([255, 256, 16, 2])), seed=seed)
+    return x, y, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_cases())
+def test_fit_matches_unguarded_full_width_oracle_bit_for_bit(case):
+    x, y, config = case
+    forest = gbrt.fit(x, y, config)
+    b0, arrays, losses = naive_fit(x, y, config)
+    assert forest.b0 == b0
+    for name, want in arrays.items():
+        got = getattr(forest, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert forest.train_losses.tobytes() == losses.tobytes()
+
+
+def mixed_matrix(n=1500, seed=2024):
+    """1,500 x 70: binary, dense, count, skewed and one wholly missing
+    column, 5% of all values missing; elementwise math only (no BLAS)."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, 70))
+    x[:, :20] = rng.integers(0, 2, size=(n, 20))
+    x[:, 20:52] = rng.normal(size=(n, 32))
+    x[:, 52:62] = rng.poisson(3.0, size=(n, 10))
+    x[:, 62:69] = rng.lognormal(size=(n, 7)).round(1)
+    x[:, 69] = np.nan
+    x[rng.random((n, 70)) < 0.05] = np.nan
+    z = np.nan_to_num(x)
+    y = (1.5 * z[:, 20] + np.sin(z[:, 21]) + z[:, 0] - 0.5 * z[:, 1] * z[:, 52]
+         + np.log1p(z[:, 62]) + 0.3 * rng.normal(size=n))
+    return x, y
+
+
+def test_fit_fingerprint_pinned():
+    """SHA-256 over the forest arrays, as the unguarded 256-bins-wide
+    split search grew them; any change to the trees changes it."""
+    x, y = mixed_matrix()
+    _, arrays = gbrt.fit(x, y, GBRTConfig(iterations=40)).get_state()
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(arrays[name]).tobytes())
+    assert digest.hexdigest() == (
+        "c24600d623e984f51695f07299fc447a9283148f5917afff993cb2b4551fa925")
+
+
+def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
+    edges = [np.empty(0), np.arange(1.0), np.arange(100.0), np.arange(254.0),
+             np.arange(70.0), np.arange(1.0)]
+    layout = HistLayout(edges)
+    # widths 2, 3, 102, 256, 72, 3: narrow 2, 3, 3 padded to 3, wide to 256
+    assert layout.blocks == [(0, 3, 3), (9, 3, 256)]
+    assert layout.offsets.tolist() == [0, 3, 9, 265, 521, 6]
+    assert layout.size == 777 == layout.rank.size
+    # every (feature, bin) has exactly one slot, the rest is padding
+    ranks = set(layout.rank.tolist())
+    assert all(f * 256 + b in ranks
+               for f, e in enumerate(edges) for b in range(len(e) + 2))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_bins", 400), ("max_bins", 1), ("iterations", -1),
+    ("learning_rate", float("nan")), ("learning_rate", 0.0),
+    ("learning_rate", float("inf")), ("max_leaves", 1),
+    ("min_samples_leaf", 0), ("l2", -0.5), ("binning_sample", -1),
+    ("seed", -1), ("iterations", 2.5), ("l2", None), ("max_leaves", True)])
+def test_config_out_of_range_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"gbrt.{field}"):
+        GBRTConfig(**{field: value})
+    config = GBRTConfig()
+    setattr(config, field, value)  # changed after construction
+    with pytest.raises(ConfigError, match=f"gbrt.{field}"):
+        gbrt.fit(np.zeros((50, 1)), np.zeros(50), config)
+
+
+def test_config_range_edges_accepted():
+    x = np.linspace(0, 1, 40).reshape(-1, 1)
+    forest = gbrt.fit(x, x.ravel(), GBRTConfig(
+        max_bins=256, iterations=1, max_leaves=2, min_samples_leaf=1,
+        l2=0.0, learning_rate=1e-9, seed=0, binning_sample=0))
+    assert forest.n_trees == 1
+    assert GBRTConfig.from_dict(forest.config.to_dict()) == forest.config
 
 
 # ---------------------------------------------------------------------------
