@@ -6,13 +6,17 @@ fitted state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from collections import Counter
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    ConfigError,
     DegenerateInput,
     DimensionMismatch,
     EmptyCorpus,
@@ -40,10 +44,9 @@ class TextVectorizerState:
 
 
 def _terms(q: CleanedQuery) -> List[str]:
-    vals = list(q.values)
-    terms = list(vals)
-    terms.extend(f"{a} {b}" for a, b in zip(vals, vals[1:]))
-    return terms
+    """Unigrams, then bigrams joined by a space (tokens hold no spaces)."""
+    vals = q.values
+    return [*vals, *map(" ".join, zip(vals, vals[1:]))]
 
 
 def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
@@ -68,30 +71,37 @@ def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
                                idf=idf, n_docs=n)
 
 
-def transform_text(state: TextVectorizerState, q: CleanedQuery) -> sp.csr_matrix:
-    """Raw-count tf x idf, L2-normalized. Out-of-vocabulary terms ignored."""
-    counts: Dict[int, float] = {}
-    for term in _terms(q):
-        col = state.vocabulary.get(term)
-        if col is not None:
-            counts[col] = counts.get(col, 0.0) + 1.0
-    if not counts:
-        return sp.csr_matrix((1, state.size))
-    cols = np.array(sorted(counts), dtype=np.int64)
-    data = np.array([counts[c] for c in cols]) * state.idf[cols]
-    norm = float(np.sqrt(np.sum(data * data)))
-    if norm > 0:
-        data = data / norm
-    return sp.csr_matrix((data, (np.zeros_like(cols), cols)),
-                         shape=(1, state.size))
+def transform_text(state: TextVectorizerState,
+                   corpus: Sequence[CleanedQuery]) -> sp.csr_matrix:
+    """One row per query: raw-count tf x idf, L2-normalized.
+    Out-of-vocabulary terms are ignored; a query without a known term gives
+    an empty row."""
+    lookup = state.vocabulary.get
+    indptr = [0]
+    cols: List[int] = []
+    tf: List[int] = []
+    for q in corpus:
+        counts = Counter(map(lookup, _terms(q)))
+        counts.pop(None, None)
+        row = sorted(counts)
+        cols += row
+        tf += map(counts.__getitem__, row)
+        indptr.append(len(cols))
+    col_ids = np.array(cols, dtype=np.int64)
+    data = np.array(tf, dtype=np.float64) * state.idf[col_ids]
+    sq = data * data
+    for s, e in zip(indptr[:-1], indptr[1:]):
+        # a pairwise sum over each row's own slice, as for a one-row matrix
+        norm = float(np.sqrt(np.sum(sq[s:e])))
+        if norm > 0:
+            data[s:e] /= norm
+    return sp.csr_matrix((data, col_ids, np.array(indptr, dtype=np.int64)),
+                         shape=(len(indptr) - 1, state.size))
 
 
 def transform_text_corpus(state: TextVectorizerState,
                           corpus: Iterable[CleanedQuery]) -> sp.csr_matrix:
-    rows = [transform_text(state, q) for q in corpus]
-    if not rows:
-        return sp.csr_matrix((0, state.size))
-    return sp.vstack(rows, format="csr")
+    return transform_text(state, list(corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +155,29 @@ def fit_svd(tfidf_rows: sp.spmatrix, k: int, seed: int = 0,
                     singular_values=np.ascontiguousarray(s))
 
 
-def project_text(basis: SvdBasis, v: sp.spmatrix | np.ndarray) -> np.ndarray:
-    """Project a term-weight vector onto the SVD basis (components @ v)."""
-    if sp.issparse(v):
-        vec = np.asarray(v.todense()).ravel()
-    else:
-        vec = np.asarray(v, dtype=np.float64).ravel()
-    if vec.shape[0] != basis.components.shape[1]:
+def project_text(basis: SvdBasis, m: sp.spmatrix | np.ndarray) -> np.ndarray:
+    """Project term-weight rows onto the SVD basis: row i of the (n, k)
+    result is ``components @ m[i]``, one matrix-vector product per row, so
+    a row's coordinates do not depend on the batch it came in."""
+    comps = basis.components
+    if not sp.issparse(m):
+        m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    if m.ndim != 2 or m.shape[1] != comps.shape[1]:
         raise DimensionMismatch(
-            f"vector length {vec.shape[0]} != basis columns {basis.components.shape[1]}")
-    return basis.components @ vec
+            f"row length {m.shape[-1]} != basis columns {comps.shape[1]}")
+    m = sp.csr_matrix(m, dtype=np.float64)
+    if not m.has_canonical_format:  # the scatter below needs unique columns
+        m = m.copy()
+        m.sum_duplicates()
+    out = np.empty((m.shape[0], comps.shape[0]))
+    dense = np.zeros(comps.shape[1])
+    indptr, indices, data = m.indptr, m.indices, m.data
+    for i in range(m.shape[0]):
+        cols = indices[indptr[i]:indptr[i + 1]]
+        dense[cols] = data[indptr[i]:indptr[i + 1]]
+        out[i] = comps @ dense
+        dense[cols] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +206,28 @@ class FeaturizerConfig:
     top_n_categories: int = 20
     top_n_asset_type_counts: int = 20
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError naming the first field that is not an integer
+        in range: counts and sizes >= 1, seed and the other knobs >= 0."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            low = 1 if f.name in ("min_df", "max_vocab", "svd_components") else 0
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ConfigError(
+                    f"featurizer.{f.name}: {v!r} is not an integer >= {low}")
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeaturizerConfig":
+        """Inverse of to_dict: every field must be present."""
+        missing = sorted({f.name for f in fields(cls)} - set(d))
+        if missing:
+            raise ConfigError(f"featurizer config lacks {', '.join(missing)}")
         return cls(**d)
 
 
@@ -204,6 +244,14 @@ def _top_categories(values: Iterable[str], top_n: int) -> List[str]:
         freq[v] = freq.get(v, 0) + 1
     ordered = sorted(freq, key=lambda c: (-freq[c], c))
     return ordered[:top_n]
+
+
+def _stack_columns(cols: Sequence[Sequence[float]], n: int) -> np.ndarray:
+    """An (n, len(cols)) float64 block whose column j is cols[j]."""
+    block = np.empty((n, len(cols)))
+    for j, col in enumerate(cols):
+        block[:, j] = col
+    return block
 
 
 class Featurizer:
@@ -233,47 +281,50 @@ class Featurizer:
         names += [f"num_asset_count_{k}" for k in self.asset_count_keys]
         return names
 
-    def _raw_numeric_row(self, rec: QueryRecord, rep: ComplexityReport) -> List[float]:
-        row = [float(rep.score)]
-        for f in _COUNT_FIELDS:
-            v = getattr(rec, f)
-            row.append(self.impute_medians[f] if v is None else float(v))
-        for k in self.asset_count_keys:
-            row.append(float(rec.asset_type_counts.get(k, 0)))
-        return row
+    def _imputed(self, records: Sequence[QueryRecord], f: str) -> List[float]:
+        """Column f, a missing value replaced by its training median."""
+        median = self.impute_medians[f]
+        return [median if v is None else float(v)
+                for v in map(attrgetter(f), records)]
 
-    def _vol_row(self, rec: QueryRecord) -> List[float]:
-        bp = rec.total_bytes_processed
-        bb = rec.total_bytes_billed
-        bp = self.impute_medians["total_bytes_processed"] if bp is None else float(bp)
-        bb = self.impute_medians["total_bytes_billed"] if bb is None else float(bb)
-        acct = rec.account_count
-        res = rec.resource_count
-        acct = self.impute_medians["account_count"] if acct is None else float(acct)
-        res = self.impute_medians["resource_count"] if res is None else float(res)
-        per_acct = bp / acct if acct > 0 else 0.0
-        per_res = bp / res if res > 0 else 0.0
-        return [np.log1p(bp), np.log1p(bb), np.log1p(per_acct), np.log1p(per_res)]
+    def _raw_numeric(self, records: Sequence[QueryRecord],
+                     reports: Sequence[ComplexityReport]) -> np.ndarray:
+        cols = [[float(rep.score) for rep in reports]]
+        cols += [self._imputed(records, f) for f in _COUNT_FIELDS]
+        cols += [[float(r.asset_type_counts.get(k, 0)) for r in records]
+                 for k in self.asset_count_keys]
+        return _stack_columns(cols, len(records))
 
-    def _miss_row(self, rec: QueryRecord) -> List[float]:
-        return [1.0 if getattr(rec, f) is None else 0.0 for f in _OPTIONAL_FIELDS]
+    def _vol(self, records: Sequence[QueryRecord]) -> np.ndarray:
+        bp, bb, acct, res = (np.array(self._imputed(records, f), dtype=np.float64)
+                             for f in ("total_bytes_processed",
+                                       "total_bytes_billed",
+                                       "account_count", "resource_count"))
+        per_acct = np.divide(bp, acct, out=np.zeros_like(bp), where=acct > 0)
+        per_res = np.divide(bp, res, out=np.zeros_like(bp), where=res > 0)
+        return _stack_columns([np.log1p(c) for c in (bp, bb, per_acct, per_res)],
+                              len(records))
 
-    def _cat_row(self, rec: QueryRecord) -> List[float]:
-        row: List[float] = []
+    def _miss(self, records: Sequence[QueryRecord]) -> np.ndarray:
+        return _stack_columns([[v is None for v in map(attrgetter(f), records)]
+                               for f in _OPTIONAL_FIELDS], len(records))
+
+    def _cat(self, records: Sequence[QueryRecord]) -> np.ndarray:
+        n = len(records)
+        width = sum(len(self.category_maps[f]) + 1 for f in _CATEGORICAL_FIELDS)
+        block = np.zeros((n, width + 4))  # then 3 provider flags, cache_hit
+        offset = 0
         for f in _CATEGORICAL_FIELDS:
             cats = self.category_maps[f]
-            value = getattr(rec, f) or ""
-            hot = [0.0] * (len(cats) + 1)
-            if value in cats:
-                hot[cats.index(value)] = 1.0
-            else:
-                hot[-1] = 1.0
-            row.extend(hot)
-        for f in ("accounts_aws", "accounts_gcp", "accounts_azure"):
-            v = getattr(rec, f)
-            row.append(1.0 if (v is not None and v > 0) else 0.0)
-        row.append(1.0 if rec.cache_hit else 0.0)
-        return row
+            slot = {c: i for i, c in enumerate(cats)}
+            hot = [slot.get(v or "", len(cats)) for v in map(attrgetter(f), records)]
+            block[np.arange(n), offset + np.array(hot, dtype=np.int64)] = 1.0
+            offset += len(cats) + 1
+        for j, f in enumerate(("accounts_aws", "accounts_gcp", "accounts_azure")):
+            block[:, offset + j] = [v is not None and v > 0
+                                    for v in map(attrgetter(f), records)]
+        block[:, offset + 3] = [bool(r.cache_hit) for r in records]
+        return block
 
     def _cat_names(self) -> List[str]:
         names: List[str] = []
@@ -296,6 +347,7 @@ class Featurizer:
         if len(records) != len(reports):
             raise LengthMismatch("one ComplexityReport per record required")
         cfg = self.config
+        cfg.validate()  # also catches a field changed after construction
         if cleaned is None:
             from .sql_analyzer import clean_query
             cleaned = [clean_query(r.query_text) for r in records]
@@ -336,8 +388,7 @@ class Featurizer:
             for f in _CATEGORICAL_FIELDS
         }
 
-        num = np.array([self._raw_numeric_row(r, rep)
-                        for r, rep in zip(records, reports)], dtype=np.float64)
+        num = self._raw_numeric(records, reports)
         self.num_mean = num.mean(axis=0)
         std = num.std(axis=0)
         std[std <= 0] = 1.0
@@ -363,25 +414,11 @@ class Featurizer:
         if cleaned is None:
             from .sql_analyzer import clean_query
             cleaned = [clean_query(r.query_text) for r in records]
-        n = len(records)
-        k = self.svd_basis.k
-        text_block = np.zeros((n, k))
-        for i, q in enumerate(cleaned):
-            if k:
-                text_block[i] = project_text(self.svd_basis,
-                                             transform_text(self.text_state, q))
-        num = np.array([self._raw_numeric_row(r, rep)
-                        for r, rep in zip(records, reports)], dtype=np.float64)
-        if n == 0:
-            num = num.reshape(0, len(self._numeric_names()))
-        num = (num - self.num_mean) / self.num_std
-        vol = np.array([self._vol_row(r) for r in records], dtype=np.float64)
-        miss = np.array([self._miss_row(r) for r in records], dtype=np.float64)
-        cat = np.array([self._cat_row(r) for r in records], dtype=np.float64)
-        rows = np.hstack([text_block, num,
-                          vol.reshape(n, 4),
-                          miss.reshape(n, len(_OPTIONAL_FIELDS)),
-                          cat.reshape(n, len(self._cat_names()))])
+        text = project_text(self.svd_basis,
+                            transform_text(self.text_state, cleaned))
+        num = (self._raw_numeric(records, reports) - self.num_mean) / self.num_std
+        rows = np.hstack([text, num, self._vol(records), self._miss(records),
+                          self._cat(records)])
         if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite entries in feature matrix")
         return FeatureMatrix(rows=rows, column_names=list(self.column_names))

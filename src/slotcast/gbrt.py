@@ -20,6 +20,7 @@ from .errors import (ConfigError, CorruptBundle, DimensionMismatch,
 
 _BINS = 256  # widest histogram a feature can have (value bins + missing bin)
 _NARROW = 16  # widest feature that HistLayout keeps in its narrow block
+MAX_ITERATIONS = 10**6  # boosting rounds; fit allocates one loss slot each
 
 
 @dataclass
@@ -39,11 +40,13 @@ class GBRTConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first field out of range. Bins must
         fit the uint8 bin matrix and its histograms (max_bins <= 256), a
-        leaf needs a row and a tree room for one split."""
+        leaf needs a row and a tree room for one split, and iterations stay
+        below MAX_ITERATIONS (fit allocates its loss curve up front)."""
         real, integer = numbers.Real, numbers.Integral
         for name, kind, ok, want in (
                 ("learning_rate", real, lambda v: v > 0, "> 0"),
-                ("iterations", integer, lambda v: v >= 0, ">= 0"),
+                ("iterations", integer, lambda v: 0 <= v <= MAX_ITERATIONS,
+                 f"in 0..{MAX_ITERATIONS}"),
                 ("max_leaves", integer, lambda v: v >= 2, ">= 2"),
                 ("min_samples_leaf", integer, lambda v: v >= 1, ">= 1"),
                 ("l2", real, lambda v: v >= 0, ">= 0"),

@@ -8,7 +8,7 @@ never rejected; counting degrades gracefully.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, NamedTuple, Tuple
 
 # Operator kinds, in a fixed reporting order.
@@ -97,10 +97,13 @@ class Token(NamedTuple):
 class CleanedQuery:
     text: str
     tokens: Tuple[Token, ...]
+    # the tokens' values, derived from tokens when not given
+    values: Tuple[str, ...] = field(default=None, compare=False, repr=False)
 
-    @property
-    def values(self) -> Tuple[str, ...]:
-        return tuple(t.value for t in self.tokens)
+    def __post_init__(self) -> None:
+        if self.values is None:
+            object.__setattr__(self, "values",
+                               tuple(t.value for t in self.tokens))
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,10 @@ _SINGLE_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'")
 _DOUBLE_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 _NUMBER = re.compile(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b")
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]")
+# _TOKEN yields whole identifiers or single other characters, so a token's
+# first character tells the two apart
+_IDENTIFIER_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 def _classify(value: str) -> str:
@@ -123,7 +130,7 @@ def _classify(value: str) -> str:
         return "placeholder"
     if value in KEYWORDS:
         return "keyword"
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", value):
+    if value[0] in _IDENTIFIER_START:
         return "identifier"
     return "punctuation"
 
@@ -140,9 +147,12 @@ def clean_query(raw_sql: str) -> CleanedQuery:
     text = _DOUBLE_QUOTED.sub(" STR ", text)
     text = _NUMBER.sub(" NUM ", text)
     text = text.upper()
-    values = _TOKEN.findall(text)
-    tokens = tuple(Token(v, _classify(v)) for v in values)
-    return CleanedQuery(text=" ".join(values), tokens=tokens)
+    values = tuple(_TOKEN.findall(text))
+    # one Token per distinct value: keywords and punctuation repeat
+    token = {v: Token(v, _classify(v)) for v in set(values)}
+    return CleanedQuery(text=" ".join(values),
+                        tokens=tuple(map(token.__getitem__, values)),
+                        values=values)
 
 
 def _count_with_bindings(toks: Tuple[str, ...], start: int) -> int:

@@ -286,3 +286,142 @@ def naive_fit(features, targets, config):
     arrays = dict(zip(names, columns))
     arrays["tree_offsets"] = np.cumsum(sizes).astype(np.int64)
     return b0, arrays, losses
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row featurizer: one query at a time through TF-IDF, the SVD
+# projection and the tabular blocks, as slotcast did before it featurized a
+# batch as one matrix. Library batch results must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def _naive_terms(q):
+    vals = list(q.values)
+    terms = list(vals)
+    terms.extend(f"{a} {b}" for a, b in zip(vals, vals[1:]))
+    return terms
+
+
+def naive_transform_text(state, q):
+    """Raw-count tf x idf, L2-normalized. Out-of-vocabulary terms ignored."""
+    import scipy.sparse as sp
+    counts = {}
+    for term in _naive_terms(q):
+        col = state.vocabulary.get(term)
+        if col is not None:
+            counts[col] = counts.get(col, 0.0) + 1.0
+    if not counts:
+        return sp.csr_matrix((1, state.size))
+    cols = np.array(sorted(counts), dtype=np.int64)
+    data = np.array([counts[c] for c in cols]) * state.idf[cols]
+    norm = float(np.sqrt(np.sum(data * data)))
+    if norm > 0:
+        data = data / norm
+    return sp.csr_matrix((data, (np.zeros_like(cols), cols)),
+                         shape=(1, state.size))
+
+
+def naive_project_text(basis, v):
+    """Project a term-weight vector onto the SVD basis (components @ v)."""
+    import scipy.sparse as sp
+    if sp.issparse(v):
+        vec = np.asarray(v.todense()).ravel()
+    else:
+        vec = np.asarray(v, dtype=np.float64).ravel()
+    assert vec.shape[0] == basis.components.shape[1]
+    return basis.components @ vec
+
+
+def naive_feature_rows(fz, records, reports, cleaned):
+    """A fitted Featurizer's matrix, built one record and one list per row."""
+    medians = fz.impute_medians
+    counts = ("account_count", "resource_count", "accounts_aws",
+              "accounts_gcp", "accounts_azure")
+    optional = ("total_bytes_processed", "total_bytes_billed") + counts
+
+    def numeric(rec, rep):
+        row = [float(rep.score)]
+        for f in counts:
+            v = getattr(rec, f)
+            row.append(medians[f] if v is None else float(v))
+        for k in fz.asset_count_keys:
+            row.append(float(rec.asset_type_counts.get(k, 0)))
+        return row
+
+    def vol(rec):
+        bp = rec.total_bytes_processed
+        bb = rec.total_bytes_billed
+        bp = medians["total_bytes_processed"] if bp is None else float(bp)
+        bb = medians["total_bytes_billed"] if bb is None else float(bb)
+        acct = rec.account_count
+        res = rec.resource_count
+        acct = medians["account_count"] if acct is None else float(acct)
+        res = medians["resource_count"] if res is None else float(res)
+        per_acct = bp / acct if acct > 0 else 0.0
+        per_res = bp / res if res > 0 else 0.0
+        return [np.log1p(bp), np.log1p(bb), np.log1p(per_acct),
+                np.log1p(per_res)]
+
+    def cat(rec):
+        row = []
+        for f in ("asset_type", "region"):
+            cats = fz.category_maps[f]
+            value = getattr(rec, f) or ""
+            hot = [0.0] * (len(cats) + 1)
+            if value in cats:
+                hot[cats.index(value)] = 1.0
+            else:
+                hot[-1] = 1.0
+            row.extend(hot)
+        for f in ("accounts_aws", "accounts_gcp", "accounts_azure"):
+            v = getattr(rec, f)
+            row.append(1.0 if (v is not None and v > 0) else 0.0)
+        row.append(1.0 if rec.cache_hit else 0.0)
+        return row
+
+    n = len(records)
+    k = fz.svd_basis.k
+    text_block = np.zeros((n, k))
+    for i, q in enumerate(cleaned):
+        if k:
+            text_block[i] = naive_project_text(
+                fz.svd_basis, naive_transform_text(fz.text_state, q))
+    n_num = 1 + len(counts) + len(fz.asset_count_keys)
+    num = np.array([numeric(r, rep) for r, rep in zip(records, reports)],
+                   dtype=np.float64).reshape(n, n_num)
+    num = (num - fz.num_mean) / fz.num_std
+    n_cat = sum(len(c) + 1 for c in fz.category_maps.values()) + 4
+    vol_block = np.array([vol(r) for r in records], dtype=np.float64)
+    miss = np.array([[1.0 if getattr(r, f) is None else 0.0 for f in optional]
+                     for r in records], dtype=np.float64)
+    cat_block = np.array([cat(r) for r in records], dtype=np.float64)
+    return np.hstack([text_block, num, vol_block.reshape(n, 4),
+                      miss.reshape(n, len(optional)),
+                      cat_block.reshape(n, n_cat)])
+
+
+# ---------------------------------------------------------------------------
+# Query cleaning with a regex per token class
+# ---------------------------------------------------------------------------
+
+def regex_clean_query(raw_sql, placeholders, keywords):
+    """(text, ((value, kind), ...)) as clean_query computed them when it
+    classified every token with re.fullmatch."""
+    text = re.sub(r"/\*.*?\*/", " ", raw_sql, flags=re.S)
+    text = re.sub(r"--[^\n]*", " ", text)
+    text = re.sub(r"`[^`]*`", " TABLE ", text)
+    text = re.sub(r"'(?:[^'\\]|\\.)*'", " STR ", text)
+    text = re.sub(r'"(?:[^"\\]|\\.)*"', " STR ", text)
+    text = re.sub(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b", " NUM ", text)
+    text = text.upper()
+    values = re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]", text)
+
+    def classify(value):
+        if value in placeholders:
+            return "placeholder"
+        if value in keywords:
+            return "keyword"
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", value):
+            return "identifier"
+        return "punctuation"
+
+    return " ".join(values), tuple((v, classify(v)) for v in values)

@@ -181,8 +181,22 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "gbrt.max_bins = 400", "gbrt.iterations = -1", "gbrt.learning_rate = nan",
     "gbrt.learning_rate = 0", "gbrt.max_leaves = 1",
-    "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1", "gbrt.binning_sample = -1"])
+    "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1", "gbrt.binning_sample = -1",
+    "gbrt.iterations = 99999999999999999999999"])
 def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
+    assert_train_config_rejected(tmp_path, capsys, line)
+
+
+@pytest.mark.parametrize("line", [
+    "featurizer.svd_components = -5", "featurizer.top_n_categories = -1",
+    "featurizer.min_df = -3", "featurizer.svd_power_iters = -1",
+    "featurizer.max_vocab = 0", "featurizer.svd_oversample = -100",
+    "featurizer.svd_seed = -1", "featurizer.top_n_asset_type_counts = -2"])
+def test_out_of_range_featurizer_value_is_usage_error(tmp_path, capsys, line):
+    assert_train_config_rejected(tmp_path, capsys, line)
+
+
+def assert_train_config_rejected(tmp_path, capsys, line):
     data = tmp_path / "w.jsonl"
     write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
     cfg = tmp_path / "bad.cfg"
@@ -418,13 +432,20 @@ def _forest_config(field, value):
     _forest_config("max_bins", 400), _forest_config("learning_rate", -1),
     _forest_config("unknown", 1),
     lambda h: [m["config"].pop("learning_rate") for m in h["forests"].values()],
+    lambda h: h["featurizer"].update(config={}),
+    lambda h: h["featurizer"]["config"].update(svd_components=-5),
+    lambda h: h["featurizer"]["config"].update(top_n_categories=-1),
+    lambda h: h["featurizer"]["config"].update(cache=1),
 ], ids=["no-format_version", "no-router", "no-metadata", "no-featurizer",
         "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
         "router-threshold-string",
         "metadata-list", "featurizer-missing-key", "array-spec-no-dtype",
         "array-shape-string", "forest-no-b0", "config-max_bins-400",
         "config-negative-learning_rate", "config-unknown-key",
-        "config-missing-key"])
+        "config-missing-key", "featurizer-config-empty",
+        "featurizer-config-negative-svd_components",
+        "featurizer-config-negative-top_n_categories",
+        "featurizer-config-unknown-key"])
 def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):
     _, data, bundle = trained
     bad = tmp_path / "bad.sltb"

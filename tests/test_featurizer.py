@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotcast.errors import (
+    ConfigError,
     DegenerateInput,
     DimensionMismatch,
     EmptyCorpus,
@@ -23,7 +29,12 @@ from slotcast.records import QueryRecord
 from slotcast.sql_analyzer import clean_query, complexity_score
 from slotcast.synth import WorkloadConfig, generate
 
-from naive_oracles import naive_tfidf
+from naive_oracles import (
+    naive_feature_rows,
+    naive_project_text,
+    naive_tfidf,
+    naive_transform_text,
+)
 
 
 def cq(text):
@@ -66,20 +77,20 @@ def test_min_df_filters():
 
 def test_transform_out_of_vocab_is_zero():
     state = fit_text([cq("A B"), cq("B C")], min_df=1)
-    v = transform_text(state, cq("Z Q"))
+    v = transform_text(state, [cq("Z Q")])
     assert v.nnz == 0
 
 
 def test_transform_single_term_is_unit():
     state = fit_text([cq("A B"), cq("B C")], min_df=1)
-    v = transform_text(state, cq("B"))
+    v = transform_text(state, [cq("B")])
     assert v.nnz == 1
     assert np.isclose(abs(v).sum(), 1.0)
 
 
 def test_transform_hand_computed_weights():
     state = fit_text([cq("A B"), cq("B C")], min_df=1)
-    v = np.asarray(transform_text(state, cq("A B")).todense()).ravel()
+    v = np.asarray(transform_text(state, [cq("A B")]).todense()).ravel()
     idf_rare = math.log(3 / 2) + 1
     raw = np.zeros(len(state.vocabulary))
     raw[state.vocabulary["A"]] = idf_rare
@@ -103,7 +114,7 @@ def test_tfidf_matches_naive_oracle():
                                     min_df=2, max_vocab=1000)
     assert terms == sorted(state.vocabulary, key=state.vocabulary.get)
     for c, expected in zip(cleaned, naive_rows):
-        got = np.asarray(transform_text(state, c).todense()).ravel()
+        got = np.asarray(transform_text(state, [c]).todense()).ravel()
         want = np.zeros_like(got)
         for t, w in expected.items():
             want[state.vocabulary[t]] = w
@@ -331,3 +342,151 @@ def test_state_roundtrip_bit_exact_transform():
     m1 = fz.transform(recs, reports)
     m2 = fz2.transform(recs, reports)
     assert np.array_equal(m1.rows, m2.rows)
+
+
+# ---------------------------------------------------------------------------
+# Config ranges
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("min_df", 0), ("min_df", -3), ("max_vocab", 0), ("svd_components", 0),
+    ("svd_components", -5), ("svd_seed", -1), ("svd_oversample", -100),
+    ("svd_power_iters", -1), ("top_n_categories", -1),
+    ("top_n_asset_type_counts", -1), ("svd_components", 2.0),
+    ("min_df", True), ("max_vocab", None), ("svd_seed", "0")])
+def test_config_out_of_range_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"featurizer.{field}"):
+        FeaturizerConfig(**{field: value})
+    cfg = FeaturizerConfig()
+    setattr(cfg, field, value)
+    recs, reports = make_records(5)
+    with pytest.raises(ConfigError, match=f"featurizer.{field}"):
+        Featurizer(cfg).fit_transform(recs, reports)
+
+
+def test_config_range_edges_accepted():
+    FeaturizerConfig(min_df=1, max_vocab=1, svd_components=1, svd_seed=0,
+                     svd_oversample=0, svd_power_iters=0, top_n_categories=0,
+                     top_n_asset_type_counts=0)
+    FeaturizerConfig(svd_seed=2**70, svd_components=np.int64(3))
+
+
+def test_config_from_dict_requires_every_field():
+    full = FeaturizerConfig().to_dict()
+    assert FeaturizerConfig.from_dict(full) == FeaturizerConfig()
+    for name in full:
+        partial = {k: v for k, v in full.items() if k != name}
+        with pytest.raises(ConfigError, match=name):
+            FeaturizerConfig.from_dict(partial)
+
+
+# ---------------------------------------------------------------------------
+# Batch featurization against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def fitted_featurizers():
+    """(a featurizer with a 16-wide text basis, one with k = 0, the pool of
+    records both were fit on)."""
+    recs, reports = make_records(80, seed=11)
+    fz = Featurizer(FeaturizerConfig(svd_components=16, top_n_categories=3))
+    fz.fit_transform(recs[:60], reports[:60])
+    flat = Featurizer(FeaturizerConfig(svd_components=16))
+    flat.fit_transform(recs[:1], reports[:1])  # one record: no text subspace
+    assert fz.svd_basis.k == 16 and flat.svd_basis.k == 0
+    return fz, flat, recs
+
+
+def _script(recs, size=100_000):
+    parts, total = [], 0
+    for r in recs * (size // 20 + 1):
+        parts.append(r.query_text)
+        total += len(r.query_text) + 3
+        if total >= size:
+            break
+    return " ; ".join(parts)
+
+
+def assert_batch_matches_rows(fz, records):
+    cleaned = [cq(r.query_text) for r in records]
+    reports = [complexity_score(q) for q in cleaned]
+    batch = fz.transform(records, reports, cleaned).rows
+    assert batch.shape == (len(records), len(fz.column_names))
+    oracle = naive_feature_rows(fz, records, reports, cleaned)
+    assert batch.tobytes() == oracle.tobytes()
+    for i, rec in enumerate(records):
+        one = fz.transform([rec], [reports[i]], [cleaned[i]]).rows
+        assert one.tobytes() == batch[i].tobytes()
+
+
+@st.composite
+def record_batches(draw):
+    fz, flat, recs = fitted_featurizers()
+    batch = []
+    for _ in range(draw(st.integers(0, 6))):
+        rec = dataclasses.replace(recs[draw(st.integers(0, len(recs) - 1))])
+        kind = draw(st.sampled_from(["pool", "unknown", "repeated", "mixed"]))
+        if kind == "unknown":  # no in-vocabulary term
+            rec.query_text = " ".join(draw(st.lists(
+                st.sampled_from(["ZZYZX", "qwerty", "#", "~", "@@"]),
+                max_size=8)))
+        elif kind == "repeated":
+            rec.query_text = " ".join([rec.query_text]
+                                      * draw(st.integers(2, 6)))
+        elif kind == "mixed":
+            rec.query_text = draw(st.text(max_size=60)) + rec.query_text
+        for f in ("total_bytes_billed", "account_count", "resource_count",
+                  "accounts_aws"):
+            if draw(st.booleans()):
+                setattr(rec, f, draw(st.one_of(st.none(), st.integers(0, 50))))
+        if draw(st.booleans()):
+            rec.asset_type = draw(st.sampled_from(["", "never-seen", "view"]))
+        batch.append(rec)
+    return draw(st.sampled_from([fz, flat])), batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(record_batches())
+def test_batch_transform_matches_row_by_row_oracle(case):
+    fz, records = case
+    assert_batch_matches_rows(fz, records)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_batch_with_large_script_matches_oracle(which):
+    fz = fitted_featurizers()[which]
+    recs = fitted_featurizers()[2]
+    big = dataclasses.replace(recs[0], query_text=_script(recs))
+    assert len(big.query_text) >= 100_000
+    assert_batch_matches_rows(fz, [recs[1], big, recs[2]])
+
+
+def test_empty_batch_keeps_the_column_layout():
+    for fz in fitted_featurizers()[:2]:
+        m = fz.transform([], [], [])
+        assert m.rows.shape == (0, len(fz.column_names))
+
+
+def test_transform_text_batch_matches_per_row_oracle():
+    fz, _, recs = fitted_featurizers()
+    cleaned = [cq(r.query_text) for r in recs] + [cq("ZZYZX"), cq("")]
+    m = transform_text(fz.text_state, cleaned)
+    assert m.shape == (len(cleaned), fz.text_state.size)
+    proj = project_text(fz.svd_basis, m)
+    for i, q in enumerate(cleaned):
+        row = naive_transform_text(fz.text_state, q)
+        assert m[i].toarray().tobytes() == row.toarray().tobytes()
+        assert proj[i].tobytes() == naive_project_text(
+            fz.svd_basis, row).tobytes()
+
+
+def test_feature_matrix_fingerprint_pinned():
+    """SHA-256 of the fit and held-out feature matrices of a fixed synth
+    corpus, as the row-by-row featurizer built them."""
+    recs, reports = make_records(240, seed=17)
+    fz = Featurizer(FeaturizerConfig(svd_components=24))
+    digest = hashlib.sha256()
+    digest.update(fz.fit_transform(recs[:160], reports[:160]).rows.tobytes())
+    digest.update(fz.transform(recs[160:], reports[160:]).rows.tobytes())
+    assert digest.hexdigest() == (
+        "8a9e66e1cf41bedef6683408e5d5f9c14aed3da4656ae0b35bce3bc5596c066f")

@@ -340,7 +340,8 @@ def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
     ("learning_rate", float("nan")), ("learning_rate", 0.0),
     ("learning_rate", float("inf")), ("max_leaves", 1),
     ("min_samples_leaf", 0), ("l2", -0.5), ("binning_sample", -1),
-    ("seed", -1), ("iterations", 2.5), ("l2", None), ("max_leaves", True)])
+    ("seed", -1), ("iterations", 2.5), ("l2", None), ("max_leaves", True),
+    ("iterations", gbrt.MAX_ITERATIONS + 1), ("iterations", 10**23)])
 def test_config_out_of_range_rejected(field, value):
     with pytest.raises(ConfigError, match=f"gbrt.{field}"):
         GBRTConfig(**{field: value})
@@ -357,6 +358,7 @@ def test_config_range_edges_accepted():
         l2=0.0, learning_rate=1e-9, seed=0, binning_sample=0))
     assert forest.n_trees == 1
     assert GBRTConfig.from_dict(forest.config.to_dict()) == forest.config
+    assert GBRTConfig(iterations=gbrt.MAX_ITERATIONS).iterations == 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotcast.sql_analyzer import (
     DEFAULT_WEIGHTS,
+    KEYWORDS,
     OPERATOR_KINDS,
+    PLACEHOLDERS,
+    CleanedQuery,
     analyze_sql,
     clean_query,
     complexity_score,
@@ -12,7 +17,7 @@ from slotcast.sql_analyzer import (
 )
 from slotcast.synth import OperatorPlan, render_query, _plan_for
 
-from naive_oracles import naive_operator_counts
+from naive_oracles import naive_operator_counts, regex_clean_query
 
 
 def counts_of(**kwargs):
@@ -68,6 +73,27 @@ def test_token_kinds():
     assert kinds["TABLE"] == "placeholder"
     assert kinds["STR"] == "placeholder"
     assert kinds["="] == "punctuation"
+
+
+sql_like_text = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from(
+        sorted(KEYWORDS) + sorted(PLACEHOLDERS) + [
+            "a", "_x1", "t.col", "9e3", "1.5", "'s'", '"q"', "`p.d.t`",
+            "(", ")", ",", ";", "*", "--c\n", "/* c */", "\u00e9", "\u00df",
+            "\t", "regexp_contains", "\u0131d"]),
+        max_size=30).map(" ".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sql_like_text)
+def test_clean_query_matches_regex_classifier(raw):
+    q = clean_query(raw)
+    text, tokens = regex_clean_query(raw, PLACEHOLDERS, KEYWORDS)
+    assert q.text == text
+    assert tuple(q.tokens) == tokens
+    assert q.values == tuple(v for v, _ in tokens)
+    assert q == CleanedQuery(text=q.text, tokens=q.tokens)
 
 
 # ---------------------------------------------------------------------------
