@@ -1,4 +1,4 @@
-"""Demo: TF-IDF n-gram vectorization and truncated-SVD text embeddings.
+"""Demo: TF-IDF n-gram vectorization and exact truncated-SVD text embeddings.
 
 Run with: python3 demos/02_text_features.py
 """
@@ -27,7 +27,7 @@ def main():
           f"uni/bigrams, tf-idf matrix {matrix.shape}, "
           f"nnz density {matrix.nnz / np.prod(matrix.shape):.2f}")
 
-    basis = fit_svd(matrix, k=4, seed=0)
+    basis = fit_svd(matrix, k=4)
     print(f"svd basis: {basis.components.shape[0]} components, "
           f"singular values {np.round(basis.singular_values, 3)}")
 

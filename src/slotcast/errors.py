@@ -42,7 +42,7 @@ class NegativeTarget(SlotcastError):
 
 
 class BundleVersionMismatch(SlotcastError):
-    """Serialized bundle was written by a newer format version."""
+    """Serialized bundle was written by an older or newer format version."""
 
 
 class CorruptBundle(SlotcastError):

@@ -1,5 +1,5 @@
-"""Feature fusion: TF-IDF text block reduced via randomized SVD, standardized
-numerics, log-scaled volumetrics, and one-hot categoricals.
+"""Feature fusion: TF-IDF text block reduced via an exact truncated SVD,
+standardized numerics, log-scaled volumetrics, and one-hot categoricals.
 
 Fit statistics are computed only on training records; transform never mutates
 fitted state.
@@ -105,7 +105,7 @@ def transform_text_corpus(state: TextVectorizerState,
 
 
 # ---------------------------------------------------------------------------
-# Randomized truncated SVD
+# Exact truncated SVD
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -118,34 +118,32 @@ class SvdBasis:
         return self.components.shape[0]
 
 
-def fit_svd(tfidf_rows: sp.spmatrix, k: int, seed: int = 0,
-            oversample: int = 10, power_iters: int = 4) -> SvdBasis:
-    """Seeded randomized truncated SVD of a sparse matrix.
+def fit_svd(tfidf_rows: sp.spmatrix, k: int) -> SvdBasis:
+    """Exact truncated SVD of a sparse matrix: the top-k eigenpairs of its
+    smaller Gram matrix (AᵀA when it has no more columns than rows, else
+    AAᵀ), with sigma = sqrt(eigenvalue).
 
-    Components with numerically zero singular values are dropped, so the
-    returned rank never exceeds the input's effective rank.
+    Directions whose eigenvalue is at most lambda_max * max(n, V) * eps
+    (numpy ``matrix_rank``'s cutoff, applied to the Gram matrix) are
+    dropped, so the returned rank never exceeds the input's effective
+    rank. From AAᵀ the components are ``Aᵀu / sigma``, and a component
+    whose sigma is near the cutoff is orthonormal to the others only to
+    within about ``eps * sigma_max**2 / sigma**2``.
     """
     a = sp.csr_matrix(tfidf_rows, dtype=np.float64)
     n, v = a.shape
     if n < 2:
         raise DegenerateInput("SVD needs at least 2 rows")
-    k_eff = max(1, min(k, n, v))
-    p = min(k_eff + oversample, min(n, v))
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((v, p))
-    y = a @ omega
-    for _ in range(power_iters):
-        y, _ = np.linalg.qr(a @ (a.T @ y))
-    q, _ = np.linalg.qr(y)
-    b = np.asarray(q.T @ a)
-    _, s, vt = np.linalg.svd(b, full_matrices=False)
-    k_eff = min(k_eff, s.shape[0])
-    s = s[:k_eff]
-    vt = vt[:k_eff]
-    # drop numerically-zero directions (keeps singular values positive)
-    tol = (s[0] if s.size else 0.0) * 1e-10
-    keep = s > tol
-    s, vt = s[keep], vt[keep]
+    tall = v <= n
+    lam, vecs = np.linalg.eigh((a.T @ a if tall else a @ a.T).toarray())
+    lam, vecs = lam[::-1], vecs[:, ::-1]  # descending
+    tol = max(lam[0], 0.0) * max(n, v) * np.finfo(np.float64).eps
+    rank = min(k, int(np.count_nonzero(lam > tol)))
+    s = np.sqrt(lam[:rank])
+    if tall:
+        vt = vecs[:, :rank].T
+    else:
+        vt = np.asarray(a.T @ vecs[:, :rank]).T / s[:, None]
     # deterministic sign: largest-magnitude entry of each component positive
     for i in range(vt.shape[0]):
         j = int(np.argmax(np.abs(vt[i])))
@@ -200,9 +198,6 @@ class FeaturizerConfig:
     min_df: int = 2
     max_vocab: int = 50_000
     svd_components: int = 512
-    svd_seed: int = 0
-    svd_oversample: int = 10
-    svd_power_iters: int = 4
     top_n_categories: int = 20
     top_n_asset_type_counts: int = 20
 
@@ -211,7 +206,8 @@ class FeaturizerConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the first field that is not an integer
-        in range: counts and sizes >= 1, seed and the other knobs >= 0."""
+        in range: min_df, max_vocab and svd_components >= 1, the top-N
+        category counts >= 0."""
         for f in fields(self):
             v = getattr(self, f.name)
             low = 1 if f.name in ("min_df", "max_vocab", "svd_components") else 0
@@ -357,10 +353,7 @@ class Featurizer:
                                    max_vocab=cfg.max_vocab)
         tfidf = transform_text_corpus(self.text_state, cleaned)
         if len(records) >= 2 and self.text_state.size >= 1:
-            self.svd_basis = fit_svd(tfidf, cfg.svd_components,
-                                     seed=cfg.svd_seed,
-                                     oversample=cfg.svd_oversample,
-                                     power_iters=cfg.svd_power_iters)
+            self.svd_basis = fit_svd(tfidf, cfg.svd_components)
         else:
             # degenerate corpus: no usable text subspace
             self.svd_basis = SvdBasis(

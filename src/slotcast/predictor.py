@@ -29,7 +29,9 @@ from .gbrt import Forest, GBRTConfig
 from .records import QueryRecord
 from .sql_analyzer import clean_query, complexity_score
 
-FORMAT_VERSION = 1
+# 2: the featurizer config no longer holds svd_seed, svd_oversample and
+# svd_power_iters (the text SVD is exact)
+FORMAT_VERSION = 2
 _MAGIC = b"SLTB"
 _HEADER_KEYS = {"format_version", "router", "metadata", "featurizer",
                 "forests", "arrays"}
@@ -171,36 +173,31 @@ def _forest_for_route(bundle: ModelBundle, route: str) -> Forest:
     return forest
 
 
+def _score(bundle: ModelBundle,
+           records: Sequence[QueryRecord]) -> List[PredictionResult]:
+    """Clean, score, route, featurize and predict a batch of records."""
+    cleaned = [clean_query(r.query_text) for r in records]
+    reports = [complexity_score(q) for q in cleaned]
+    matrix = bundle.featurizer.transform(records, reports, cleaned)
+    route_names = [bundle.router.route(rep.score) for rep in reports]
+    zs = np.empty(len(records))
+    for route in set(route_names):
+        mask = np.array([r == route for r in route_names])
+        zs[mask] = _forest_for_route(bundle, route).predict(matrix.rows[mask])
+    return [PredictionResult(slot_min=inverse_target(z), route=route,
+                             complexity_score=rep.score, log_space_value=z)
+            for z, route, rep in zip(zs.tolist(), route_names, reports)]
+
+
 def predict(bundle: ModelBundle, record: QueryRecord) -> PredictionResult:
     """Score, route, featurize and predict one record."""
-    cleaned = clean_query(record.query_text)
-    report = complexity_score(cleaned)
-    route = bundle.router.route(report.score)
-    matrix = bundle.featurizer.transform([record], [report], [cleaned])
-    z = float(_forest_for_route(bundle, route).predict(matrix.rows)[0])
-    return PredictionResult(slot_min=inverse_target(z), route=route,
-                            complexity_score=report.score,
-                            log_space_value=z)
+    return _score(bundle, [record])[0]
 
 
 def predict_many(bundle: ModelBundle,
                  records: Sequence[QueryRecord]) -> List[PredictionResult]:
-    if not records:
-        return []
-    cleaned = [clean_query(r.query_text) for r in records]
-    reports = [complexity_score(q) for q in cleaned]
-    matrix = bundle.featurizer.transform(records, reports, cleaned)
-    results: List[PredictionResult] = []
-    route_names = [bundle.router.route(rep.score) for rep in reports]
-    zs = np.empty(len(records))
-    for route in set(route_names):
-        idx = [i for i, r in enumerate(route_names) if r == route]
-        zs[idx] = _forest_for_route(bundle, route).predict(matrix.rows[idx])
-    for i, rep in enumerate(reports):
-        results.append(PredictionResult(
-            slot_min=inverse_target(float(zs[i])), route=route_names[i],
-            complexity_score=rep.score, log_space_value=float(zs[i])))
-    return results
+    """Predict a batch; result i is the same as ``predict`` of record i."""
+    return _score(bundle, records)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +247,10 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     if version > FORMAT_VERSION:
         raise BundleVersionMismatch(
             f"bundle format {version} is newer than supported {FORMAT_VERSION}")
+    if version < FORMAT_VERSION:
+        raise BundleVersionMismatch(
+            f"bundle format {version} is older than supported "
+            f"{FORMAT_VERSION}; retrain the model to write a new bundle")
     body, digest = data[:-32], data[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CorruptBundle("checksum mismatch")

@@ -289,6 +289,53 @@ def naive_fit(features, targets, config):
 
 
 # ---------------------------------------------------------------------------
+# Randomized truncated SVD (Halko, Martinsson & Tropp, SIAM Review 2011), as
+# slotcast fit the text basis before it took the exact Gram
+# eigendecomposition. Where the sketch spans the whole matrix it gives the
+# same basis to rounding.
+# ---------------------------------------------------------------------------
+
+def randomized_fit_svd(tfidf_rows, k: int, seed: int = 0,
+                       oversample: int = 10, power_iters: int = 4):
+    """Seeded randomized truncated SVD of a sparse matrix.
+
+    Components with numerically zero singular values are dropped, so the
+    returned rank never exceeds the input's effective rank.
+    """
+    import scipy.sparse as sp
+    from slotcast.errors import DegenerateInput
+    from slotcast.featurizer import SvdBasis
+    a = sp.csr_matrix(tfidf_rows, dtype=np.float64)
+    n, v = a.shape
+    if n < 2:
+        raise DegenerateInput("SVD needs at least 2 rows")
+    k_eff = max(1, min(k, n, v))
+    p = min(k_eff + oversample, min(n, v))
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((v, p))
+    y = a @ omega
+    for _ in range(power_iters):
+        y, _ = np.linalg.qr(a @ (a.T @ y))
+    q, _ = np.linalg.qr(y)
+    b = np.asarray(q.T @ a)
+    _, s, vt = np.linalg.svd(b, full_matrices=False)
+    k_eff = min(k_eff, s.shape[0])
+    s = s[:k_eff]
+    vt = vt[:k_eff]
+    # drop numerically-zero directions (keeps singular values positive)
+    tol = (s[0] if s.size else 0.0) * 1e-10
+    keep = s > tol
+    s, vt = s[keep], vt[keep]
+    # deterministic sign: largest-magnitude entry of each component positive
+    for i in range(vt.shape[0]):
+        j = int(np.argmax(np.abs(vt[i])))
+        if vt[i, j] < 0:
+            vt[i] = -vt[i]
+    return SvdBasis(components=np.ascontiguousarray(vt),
+                    singular_values=np.ascontiguousarray(s))
+
+
+# ---------------------------------------------------------------------------
 # Row-by-row featurizer: one query at a time through TF-IDF, the SVD
 # projection and the tabular blocks, as slotcast did before it featurized a
 # batch as one matrix. Library batch results must match it bit for bit.

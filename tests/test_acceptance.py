@@ -141,7 +141,7 @@ def test_criterion_3_tfidf_svd_oracle(capsys):
         dense_m = matrix.toarray()
         prev_err = np.inf
         for k in (1, 2, 4, 8, 16):
-            basis = fit_svd(matrix, k, seed=0)
+            basis = fit_svd(matrix, k)
             gram = basis.components @ basis.components.T
             assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-8
             recon = (dense_m @ basis.components.T) @ basis.components

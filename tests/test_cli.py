@@ -189,11 +189,25 @@ def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line", [
     "featurizer.svd_components = -5", "featurizer.top_n_categories = -1",
-    "featurizer.min_df = -3", "featurizer.svd_power_iters = -1",
-    "featurizer.max_vocab = 0", "featurizer.svd_oversample = -100",
-    "featurizer.svd_seed = -1", "featurizer.top_n_asset_type_counts = -2"])
+    "featurizer.min_df = -3", "featurizer.max_vocab = 0",
+    "featurizer.top_n_asset_type_counts = -2"])
 def test_out_of_range_featurizer_value_is_usage_error(tmp_path, capsys, line):
     assert_train_config_rejected(tmp_path, capsys, line)
+
+
+@pytest.mark.parametrize("key", [
+    "featurizer.svd_seed", "featurizer.svd_oversample",
+    "featurizer.svd_power_iters"])
+def test_retired_svd_keys_are_unknown(tmp_path, capsys, key):
+    data = tmp_path / "w.jsonl"
+    write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 0\n", encoding="utf-8")
+    assert main(["train", "--input", str(data), "--output-bundle",
+                 str(tmp_path / "m.sltb"), "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"config error: unknown config key(s): {key}\n")
+    assert not (tmp_path / "m.sltb").exists()
 
 
 def assert_train_config_rejected(tmp_path, capsys, line):
@@ -486,6 +500,24 @@ def test_version_mismatch_exit_code(trained, tmp_path, capsys):
     assert main(["predict", "--bundle", str(bumped), "--input", str(data),
                  "--output", str(out)]) == EXIT_VERSION
     assert "bundle version error" in capsys.readouterr().err
+
+
+def test_format_one_bundle_is_version_error(trained, tmp_path, capsys):
+    """A format-1 bundle holds the retired SVD config keys: it asks for a
+    retrain rather than failing on its header."""
+    def as_format_one(header):
+        header["format_version"] = 1
+        header["featurizer"]["config"].update(
+            svd_seed=0, svd_oversample=10, svd_power_iters=4)
+
+    _, data, bundle = trained
+    raw = resigned_header(bundle.read_bytes(), as_format_one)
+    body = raw[:4] + (1).to_bytes(4, "little") + raw[8:-32]
+    old = tmp_path / "v1.sltb"
+    old.write_bytes(body + hashlib.sha256(body).digest())
+    assert main(["predict", "--bundle", str(old), "--input", str(data),
+                 "--output", str(tmp_path / "p.tsv")]) == EXIT_VERSION
+    assert "retrain" in capsys.readouterr().err
 
 
 def test_version_zero_bundle_is_io_error(trained, tmp_path, capsys):

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slotcast.errors import (
@@ -34,6 +34,7 @@ from naive_oracles import (
     naive_project_text,
     naive_tfidf,
     naive_transform_text,
+    randomized_fit_svd,
 )
 
 
@@ -160,7 +161,7 @@ def test_svd_full_rank_recovery():
 def test_svd_orthonormal_and_sorted():
     rng = np.random.default_rng(0)
     a = sp.random(50, 200, density=0.05, random_state=np.random.RandomState(1))
-    basis = fit_svd(a, k=10, seed=3)
+    basis = fit_svd(a, k=10)
     gram = basis.components @ basis.components.T
     assert np.max(np.abs(gram - np.eye(basis.k))) <= 1e-8
     assert np.all(np.diff(basis.singular_values) <= 1e-12)
@@ -169,8 +170,8 @@ def test_svd_orthonormal_and_sorted():
 
 def test_svd_error_non_increasing_in_k():
     a = sp.random(50, 200, density=0.05, random_state=np.random.RandomState(7))
-    e10 = _recon_error(a, fit_svd(a, k=10, seed=0))
-    e20 = _recon_error(a, fit_svd(a, k=20, seed=0))
+    e10 = _recon_error(a, fit_svd(a, k=10))
+    e20 = _recon_error(a, fit_svd(a, k=20))
     assert e20 <= e10 + 1e-9
 
 
@@ -181,10 +182,70 @@ def test_svd_degenerate_input():
 
 def test_svd_deterministic():
     a = sp.random(30, 80, density=0.1, random_state=np.random.RandomState(2))
-    b1 = fit_svd(a, k=5, seed=11)
-    b2 = fit_svd(a, k=5, seed=11)
+    b1 = fit_svd(a, k=5)
+    b2 = fit_svd(a, k=5)
     assert np.array_equal(b1.components, b2.components)
     assert np.array_equal(b1.singular_values, b2.singular_values)
+
+
+@st.composite
+def svd_inputs(draw):
+    """(a sparse matrix, k): tall, wide, square, or of a rank below both
+    sides (random rows mixed from fewer base rows)."""
+    kind = draw(st.sampled_from(["tall", "wide", "square", "deficient"]))
+    small, big = sorted(draw(st.lists(st.integers(2, 40), min_size=2,
+                                      max_size=2)))
+    n, v = {"tall": (big, small), "wide": (small, big),
+            "square": (big, big)}.get(kind, (big, small))
+    if kind == "deficient" and draw(st.booleans()):
+        n, v = v, n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.05, 1.0))
+    if kind == "deficient":
+        r = draw(st.integers(1, min(n, v) - 1))
+        mix = sp.csr_matrix(rng.integers(0, 3, (n, r)).astype(np.float64))
+        a = mix @ sp.random(r, v, density=density, rng=rng)
+    else:
+        a = sp.random(n, v, density=density, rng=rng)
+    return sp.csr_matrix(a), draw(st.integers(1, 45))
+
+
+@settings(max_examples=150, deadline=None)
+@given(svd_inputs())
+def test_svd_matches_dense_svd(case):
+    a, k = case
+    n, v = a.shape
+    dense = a.toarray()
+    _, sig_d, vt_d = np.linalg.svd(dense, full_matrices=False)
+    basis = fit_svd(a, k)
+    vt, s = basis.components, basis.singular_values
+    assert vt.shape == (basis.k, v) and s.shape == (basis.k,)
+    lam0 = sig_d[0] ** 2
+    # rank: the dense spectrum above the Gram cutoff, away from its edge
+    cutoff = lam0 * max(n, v) * np.finfo(np.float64).eps
+    sq = sig_d ** 2
+    assume(not np.any((sq > cutoff / 1e3) & (sq < cutoff * 1e3)))
+    assert basis.k == min(k, int(np.count_nonzero(sq > cutoff)))
+    if basis.k == 0:
+        return
+    # singular values: positive, non-increasing, squares within a few
+    # times the cutoff
+    assert np.all(s > 0) and np.all(np.diff(s) <= 0)
+    assert np.all(np.abs(s ** 2 - sq[:basis.k]) <= 10 * cutoff)
+    # orthonormal rows; from AAᵀ only to about eps * sigma_0**2 / sigma**2
+    slack = 1e-12 + 100 * np.finfo(np.float64).eps * lam0 / np.outer(s, s)
+    assert np.all(np.abs(vt @ vt.T - np.eye(basis.k)) <= slack)
+    # subspace: as much of A as the best rank-k subspace holds
+    residual = np.linalg.norm(dense - dense @ vt.T @ vt) ** 2
+    assert abs(residual - np.sum(sq[basis.k:])) <= 1e-9 * lam0
+    # an isolated singular value has the dense SVD's vector, up to sign
+    sq = np.append(sq, 0.0)
+    for i in range(basis.k):
+        gap = min(sq[i] - sq[i + 1], sq[i - 1] - sq[i] if i else np.inf)
+        if gap >= 1e-4 * lam0 and s[i] >= 1e-3 * sig_d[0]:
+            assert 1 - abs(vt[i] @ vt_d[i]) <= 1e-8
+    # sign: the largest-magnitude entry of each component is positive
+    assert np.all(vt[np.arange(basis.k), np.argmax(np.abs(vt), axis=1)] > 0)
 
 
 def test_project_zero_vector():
@@ -196,7 +257,7 @@ def test_project_zero_vector():
 
 def test_project_basis_row_gives_unit_coordinate():
     a = sp.random(20, 30, density=0.3, random_state=np.random.RandomState(3))
-    basis = fit_svd(a, k=4, seed=0)
+    basis = fit_svd(a, k=4)
     for i in range(basis.k):
         out = project_text(basis, basis.components[i])
         expected = np.zeros(basis.k)
@@ -350,10 +411,9 @@ def test_state_roundtrip_bit_exact_transform():
 
 @pytest.mark.parametrize("field,value", [
     ("min_df", 0), ("min_df", -3), ("max_vocab", 0), ("svd_components", 0),
-    ("svd_components", -5), ("svd_seed", -1), ("svd_oversample", -100),
-    ("svd_power_iters", -1), ("top_n_categories", -1),
+    ("svd_components", -5), ("top_n_categories", -1),
     ("top_n_asset_type_counts", -1), ("svd_components", 2.0),
-    ("min_df", True), ("max_vocab", None), ("svd_seed", "0")])
+    ("min_df", True), ("max_vocab", None), ("svd_components", "512")])
 def test_config_out_of_range_rejected(field, value):
     with pytest.raises(ConfigError, match=f"featurizer.{field}"):
         FeaturizerConfig(**{field: value})
@@ -365,10 +425,9 @@ def test_config_out_of_range_rejected(field, value):
 
 
 def test_config_range_edges_accepted():
-    FeaturizerConfig(min_df=1, max_vocab=1, svd_components=1, svd_seed=0,
-                     svd_oversample=0, svd_power_iters=0, top_n_categories=0,
-                     top_n_asset_type_counts=0)
-    FeaturizerConfig(svd_seed=2**70, svd_components=np.int64(3))
+    FeaturizerConfig(min_df=1, max_vocab=1, svd_components=1,
+                     top_n_categories=0, top_n_asset_type_counts=0)
+    FeaturizerConfig(max_vocab=2**70, svd_components=np.int64(3))
 
 
 def test_config_from_dict_requires_every_field():
@@ -480,13 +539,40 @@ def test_transform_text_batch_matches_per_row_oracle():
             fz.svd_basis, row).tobytes()
 
 
+def pinned_corpus_matrices(fz, fit=True):
+    """The fit and held-out feature matrices of the pinned synth corpus
+    (fit: fit fz on the first 160 records first)."""
+    recs, reports = make_records(240, seed=17)
+    fit_rows = (fz.fit_transform if fit else fz.transform)(
+        recs[:160], reports[:160]).rows
+    return fit_rows, fz.transform(recs[160:], reports[160:]).rows
+
+
 def test_feature_matrix_fingerprint_pinned():
     """SHA-256 of the fit and held-out feature matrices of a fixed synth
-    corpus, as the row-by-row featurizer built them."""
-    recs, reports = make_records(240, seed=17)
-    fz = Featurizer(FeaturizerConfig(svd_components=24))
+    corpus, with the exact text SVD."""
     digest = hashlib.sha256()
-    digest.update(fz.fit_transform(recs[:160], reports[:160]).rows.tobytes())
-    digest.update(fz.transform(recs[160:], reports[160:]).rows.tobytes())
+    for rows in pinned_corpus_matrices(
+            Featurizer(FeaturizerConfig(svd_components=24))):
+        digest.update(rows.tobytes())
     assert digest.hexdigest() == (
-        "8a9e66e1cf41bedef6683408e5d5f9c14aed3da4656ae0b35bce3bc5596c066f")
+        "019cad6f6089b4827a36518a6e17fb1ac269f054a698cf20b9243970de12e170")
+
+
+def test_exact_basis_matches_randomized_oracle_on_pinned_corpus():
+    """On the pinned corpus the randomized sketch spans the whole TF-IDF
+    matrix, so its basis is the exact one to rounding: the text columns
+    agree within 1e-10 and every other column is the same bytes."""
+    fz = Featurizer(FeaturizerConfig(svd_components=24))
+    exact = pinned_corpus_matrices(fz)
+    recs, _ = make_records(240, seed=17)
+    tfidf = transform_text_corpus(
+        fz.text_state, [cq(r.query_text) for r in recs[:160]])
+    fz.svd_basis = randomized_fit_svd(tfidf, 24)
+    oracle = pinned_corpus_matrices(fz, fit=False)
+    k = fz.svd_basis.k
+    assert k == 24
+    for rows, want in zip(exact, oracle):
+        assert rows.shape == want.shape
+        assert np.max(np.abs(rows[:, :k] - want[:, :k])) <= 1e-10
+        assert rows[:, k:].tobytes() == want[:, k:].tobytes()
