@@ -77,13 +77,15 @@ class BinMapper:
 
     def __init__(self, bin_edges: List[np.ndarray]):
         self.bin_edges = bin_edges
+        self._missing = np.array([len(e) + 1 for e in bin_edges],
+                                 dtype=np.uint8)
 
     @property
     def n_features(self) -> int:
         return len(self.bin_edges)
 
     def missing_bin(self, feature: int) -> int:
-        return len(self.bin_edges[feature]) + 1
+        return int(self._missing[feature])
 
     @classmethod
     def fit(cls, x: np.ndarray, max_bins: int = 255,
@@ -115,13 +117,12 @@ class BinMapper:
         if x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected {self.n_features} features, got {x.shape[1]}")
+        # one C-level call per feature, then one pass over the whole matrix
+        # that sends non-finite values to their feature's missing bin
         out = np.empty(x.shape, dtype=np.uint8)
         for f, e in enumerate(self.bin_edges):
-            col = x[:, f]
-            binned = np.searchsorted(e, col, side="right")
-            binned[~np.isfinite(col)] = self.missing_bin(f)
-            out[:, f] = binned.astype(np.uint8)
-        return out
+            out[:, f] = e.searchsorted(x[:, f], side="right")
+        return np.where(np.isfinite(x), out, self._missing)
 
 
 class HistLayout:
@@ -322,7 +323,7 @@ class Forest:
             rows = slice(start, start + block)
             go = (xb[rows][:, self._feature] <= self._threshold).ravel()
             row_base = np.arange(go.size // n_nodes)[:, None] * n_nodes
-            nd = np.broadcast_to(self._roots, (row_base.size, self.n_trees))
+            nd = self._roots[None, :].repeat(row_base.size, axis=0)
             for _ in range(self._depth):
                 nd = self._child[2 * nd + go[row_base + nd]]
             # b0 + lr * value summed in tree order, as boosting added them
@@ -347,7 +348,9 @@ class Forest:
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Forest":
         """Inverse of get_state. Raises CorruptBundle unless the arrays
         describe walkable trees: each internal node's children lie in its
-        own tree after it, features are known and thresholds fit a uint8."""
+        own tree after it, features are known, thresholds fit a uint8 and
+        an internal node's threshold is one of its feature's value bins (fit
+        never splits at the missing bin, which sends every row left)."""
         f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
         eo, ev = arrays["edge_offsets"], arrays["edge_values"]
         if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
@@ -362,6 +365,7 @@ class Forest:
         local = (np.arange(f.size) - np.repeat(off[:-1], np.diff(off)))[inner]
         size = np.repeat(np.diff(off), np.diff(off))[inner]
         if (np.any((f < -1) | (f >= eo.size - 1) | (t < 0) | (t > 255))
+                or np.any(t[inner] > np.diff(eo)[f[inner]])
                 or np.any((lft[inner] <= local) | (lft[inner] >= size))
                 or np.any((rgt[inner] <= local) | (rgt[inner] >= size))):
             raise CorruptBundle("forest: node feature, threshold or child "

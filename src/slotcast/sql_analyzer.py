@@ -195,12 +195,26 @@ def _classify_udf(toks: Tuple[str, ...], start: int) -> str:
     return "sql_udf"
 
 
+# every token that opens a branch of count_operators' chain, bar REGEXP_*;
+# a branch added there must add its token here
+_OPERATOR_TRIGGERS = frozenset({
+    "JOIN", "GROUP", "ORDER", "DISTINCT", "HAVING", "MERGE", "UPDATE",
+    "INSERT", "UNNEST", "ARRAY", "STRUCT", "OVER", "(", "FUNCTION", "WITH",
+})
+
+
 def count_operators(q: CleanedQuery) -> Dict[str, int]:
     """Lexically count Table-weight operator occurrences in a cleaned query."""
     toks = q.values
     counts = {k: 0 for k in OPERATOR_KINDS}
     n = len(toks)
+    # most tokens are identifiers or punctuation that match no branch: find
+    # the query's distinct values that can, and skip the rest
+    live = {t for t in set(toks)
+            if t in _OPERATOR_TRIGGERS or t.startswith("REGEXP_")}
     for i, t in enumerate(toks):
+        if t not in live:
+            continue
         if t == "JOIN":
             if i > 0 and toks[i - 1] == "CROSS":
                 counts["cross_join"] += 1

@@ -135,6 +135,13 @@ def naive_metrics(actual, predicted):
     return mae, rmse, 1 - var_r / var_a, var_p / var_a
 
 
+def naive_bin_row(edges, row):
+    """Bin one row with bisect over per-feature edge lists; a non-finite
+    value takes its feature's missing bin, len(e) + 1 for edge list e."""
+    return [bisect.bisect_right(e, v) if math.isfinite(v) else len(e) + 1
+            for e, v in zip(edges, row)]
+
+
 def naive_forest_predict(forest, x):
     """Per-row, per-tree walk over a Forest's node arrays.
 
@@ -152,8 +159,7 @@ def naive_forest_predict(forest, x):
     lr = forest.config.learning_rate
     out = []
     for row in x.tolist():
-        bins = [bisect.bisect_right(e, v) if math.isfinite(v) else len(e) + 1
-                for e, v in zip(edges, row)]
+        bins = naive_bin_row(edges, row)
         pred = forest.b0
         for start in starts:
             node = start
@@ -472,3 +478,55 @@ def regex_clean_query(raw_sql, placeholders, keywords):
         return "punctuation"
 
     return " ".join(values), tuple((v, classify(v)) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Operator counting with every token sent down the full branch chain
+# ---------------------------------------------------------------------------
+
+def chain_count_operators(q):
+    """count_operators as it was before it skipped tokens that open no
+    branch: every token walks the whole elif chain."""
+    from slotcast.sql_analyzer import (OPERATOR_KINDS, _classify_udf,
+                                       _count_with_bindings)
+    toks = q.values
+    counts = {k: 0 for k in OPERATOR_KINDS}
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t == "JOIN":
+            if i > 0 and toks[i - 1] == "CROSS":
+                counts["cross_join"] += 1
+            else:
+                counts["join"] += 1
+        elif t == "GROUP" and i + 1 < n and toks[i + 1] == "BY":
+            counts["group_by"] += 1
+        elif t == "ORDER" and i + 1 < n and toks[i + 1] == "BY":
+            counts["order_by"] += 1
+        elif t == "DISTINCT":
+            counts["distinct"] += 1
+        elif t == "HAVING":
+            counts["having"] += 1
+        elif t == "MERGE":
+            counts["merge"] += 1
+        elif t == "UPDATE":
+            counts["update"] += 1
+        elif t == "INSERT":
+            counts["insert"] += 1
+        elif t == "UNNEST":
+            counts["unnest"] += 1
+        elif t in ("ARRAY", "STRUCT"):
+            counts["array_struct"] += 1
+        elif t == "OVER" and i + 1 < n and toks[i + 1] == "(":
+            counts["window"] += 1
+        elif t.startswith("REGEXP_"):
+            counts["regex_function"] += 1
+        elif t == "(" and i + 1 < n and toks[i + 1] == "SELECT":
+            counts["subselect"] += 1
+        elif t == "FUNCTION":
+            prev = toks[i - 1] if i > 0 else ""
+            prev2 = toks[i - 2] if i > 1 else ""
+            if prev == "CREATE" or (prev in ("TEMP", "TEMPORARY") and prev2 == "CREATE"):
+                counts[_classify_udf(toks, i)] += 1
+        elif t == "WITH":
+            counts["with_cte"] += _count_with_bindings(toks, i)
+    return counts

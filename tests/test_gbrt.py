@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_oracles import naive_fit, naive_forest_predict
+from naive_oracles import naive_bin_row, naive_fit, naive_forest_predict
 from slotcast import gbrt
 from slotcast.errors import (ConfigError, CorruptBundle, DimensionMismatch,
                              NonFiniteTarget, TooFewSamples)
@@ -62,6 +62,47 @@ def test_high_cardinality_respects_bin_budget():
     mapper = BinMapper.fit(x, max_bins=255)
     assert len(mapper.bin_edges[0]) <= 254
     assert mapper.missing_bin(0) <= 255
+
+
+@st.composite
+def binning_cases(draw):
+    """Edge lists of 0 to 254 edges, always including both extremes, and
+    rows of values on an edge, one ulp either side of it, anywhere, NaN
+    or +-inf, in C or Fortran order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    counts = draw(st.permutations(
+        [0, 254] + draw(st.lists(st.sampled_from([1, 2, 37]), max_size=3))))
+    edges = [np.cumsum(rng.uniform(0.01, 1.0, size=k)) - k / 4
+             for k in counts]
+    n = draw(st.integers(1, 12))
+    x = rng.normal(scale=60.0, size=(n, len(edges)))
+    for f, e in enumerate(edges):
+        kind = rng.integers(0, 7, size=n)
+        if e.size:
+            at = e[rng.integers(0, e.size, size=n)]
+            x[kind == 1, f] = at[kind == 1]
+            x[kind == 2, f] = np.nextafter(at, -np.inf)[kind == 2]
+            x[kind == 3, f] = np.nextafter(at, np.inf)[kind == 3]
+        x[kind == 4, f] = np.nan
+        x[kind == 5, f] = np.inf
+        x[kind == 6, f] = -np.inf
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    return edges, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(binning_cases())
+def test_transform_matches_bisect_oracle(case):
+    edges, x = case
+    mapper = BinMapper(edges)
+    xb = mapper.transform(x)
+    want = np.array([naive_bin_row([e.tolist() for e in edges], row)
+                     for row in x.tolist()], dtype=np.uint8)
+    assert xb.dtype == np.uint8 and xb.shape == x.shape
+    assert xb.tobytes() == want.tobytes()
+    for i in range(x.shape[0]):  # a one-row view bins as its batch row does
+        assert mapper.transform(x[i:i + 1]).tobytes() == want[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +498,16 @@ def _set(name, value):
     return edit
 
 
+def _threshold_last_value_bin_plus(k):
+    """Set the node's threshold to its feature's edge count (the last value
+    bin) plus k."""
+    def edit(arrays, inner):
+        edge_counts = np.diff(arrays["edge_offsets"])
+        arrays["node_threshold"][inner] = (
+            edge_counts[arrays["node_feature"][inner]] + k)
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _set("node_left", 0),            # points back at the root: a cycle
     _set("node_right", -1),          # before its parent
@@ -465,15 +516,23 @@ def _set(name, value):
     _set("node_feature", -2),
     _set("node_threshold", 256),     # does not fit a uint8 bin
     _set("node_threshold", -1),
+    _threshold_last_value_bin_plus(1),  # the missing bin: all rows go left
     lambda a, i: a.update(tree_offsets=a["tree_offsets"][::-1].copy()),
     lambda a, i: a.update(tree_offsets=a["tree_offsets"][:-1].copy()),
     lambda a, i: a.update(node_value=a["node_value"][:-1].copy()),
     lambda a, i: a.update(edge_offsets=a["edge_offsets"] + 1),
 ], ids=["cycle", "child-before-parent", "child-outside-tree",
         "feature-too-large", "feature-below-leaf-marker", "threshold-256",
-        "threshold-negative", "offsets-decreasing", "offsets-short",
-        "values-short", "edge-offsets"])
+        "threshold-negative", "threshold-missing-bin", "offsets-decreasing",
+        "offsets-short", "values-short", "edge-offsets"])
 def test_from_state_rejects_unwalkable_arrays(edit):
     meta, arrays = corrupted_state(edit)
     with pytest.raises(CorruptBundle):
         Forest.from_state(meta, arrays)
+
+
+def test_from_state_accepts_threshold_at_last_value_bin():
+    meta, arrays = corrupted_state(_threshold_last_value_bin_plus(0))
+    forest = Forest.from_state(meta, arrays)
+    x = np.array([[0.99, 0.99], [np.nan, np.nan]])
+    assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))

@@ -17,7 +17,8 @@ from slotcast.sql_analyzer import (
 )
 from slotcast.synth import OperatorPlan, render_query, _plan_for
 
-from naive_oracles import naive_operator_counts, regex_clean_query
+from naive_oracles import (chain_count_operators, naive_operator_counts,
+                           regex_clean_query)
 
 
 def counts_of(**kwargs):
@@ -254,3 +255,27 @@ def test_randomized_plans_match_naive_recount():
         assert got == naive_operator_counts(cleaned.text)
         rep = complexity_score(cleaned)
         assert rep.score == sum(got[k] * weights[k] for k in got)
+
+
+# single tokens, plus the phrases that multi-token branches look for (CTE
+# bindings, UDF headers, subselects), which random single tokens would
+# rarely form
+operator_token_streams = st.lists(st.one_of(
+    st.sampled_from([
+        "JOIN", "GROUP", "ORDER", "DISTINCT", "HAVING", "MERGE", "UPDATE",
+        "INSERT", "UNNEST", "ARRAY", "STRUCT", "OVER", "(", "FUNCTION",
+        "WITH", "CROSS", "BY", "SELECT", "CREATE", "TEMP", "TEMPORARY",
+        "LANGUAGE", "JS", "RECURSIVE", "AS", ")", ",", ";", "REGEXP_",
+        "REGEXP_CONTAINS", "regexp_replace", "WITH a AS (",
+        "WITH RECURSIVE a AS (", ") , b AS (", "CREATE TEMP FUNCTION",
+        "CREATE FUNCTION", "LANGUAGE JS", "( SELECT", "OVER (", "CROSS JOIN",
+        "GROUP BY", "ORDER BY"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)),
+    max_size=60).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_token_streams)
+def test_count_operators_matches_full_branch_chain(sql):
+    q = clean_query(sql)
+    assert count_operators(q) == chain_count_operators(q)
