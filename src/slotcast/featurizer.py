@@ -163,7 +163,8 @@ def project_text(basis: SvdBasis, m: sp.spmatrix | np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] != comps.shape[1]:
         raise DimensionMismatch(
             f"row length {m.shape[-1]} != basis columns {comps.shape[1]}")
-    m = sp.csr_matrix(m, dtype=np.float64)
+    if not (sp.issparse(m) and m.format == "csr" and m.dtype == np.float64):
+        m = sp.csr_matrix(m, dtype=np.float64)
     if not m.has_canonical_format:  # the scatter below needs unique columns
         m = m.copy()
         m.sum_duplicates()
@@ -248,6 +249,15 @@ def _stack_columns(cols: Sequence[Sequence[float]], n: int) -> np.ndarray:
     for j, col in enumerate(cols):
         block[:, j] = col
     return block
+
+
+def _check_lengths(records: Sequence[QueryRecord],
+                   reports: Sequence[ComplexityReport],
+                   cleaned: Optional[Sequence[CleanedQuery]]) -> None:
+    if len(reports) != len(records) or (cleaned is not None
+                                        and len(cleaned) != len(records)):
+        raise LengthMismatch("one ComplexityReport and, when given, one "
+                             "CleanedQuery per record required")
 
 
 class Featurizer:
@@ -340,8 +350,7 @@ class Featurizer:
                       ) -> FeatureMatrix:
         if len(records) == 0:
             raise EmptyCorpus("fit_transform requires at least one record")
-        if len(records) != len(reports):
-            raise LengthMismatch("one ComplexityReport per record required")
+        _check_lengths(records, reports, cleaned)
         cfg = self.config
         cfg.validate()  # also catches a field changed after construction
         if cleaned is None:
@@ -404,6 +413,7 @@ class Featurizer:
                   ) -> FeatureMatrix:
         if not self._fitted:
             raise StateNotFitted("featurizer must be fit before transform")
+        _check_lengths(records, reports, cleaned)
         if cleaned is None:
             from .sql_analyzer import clean_query
             cleaned = [clean_query(r.query_text) for r in records]

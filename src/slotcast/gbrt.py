@@ -282,15 +282,32 @@ class Forest:
 
     def __post_init__(self) -> None:
         # one traversal table for all trees: child[2 * node + go_left] in
-        # global ids, leaves looping back to themselves (and testing feature 0)
+        # global ids, leaves looping back to themselves
         leaf = self.node_feature < 0
         base = np.repeat(self.tree_offsets[:-1], np.diff(self.tree_offsets))
-        child = np.column_stack([self.node_right, self.node_left]) + base[:, None]
-        child[leaf] = np.flatnonzero(leaf)[:, None]
-        self._child = child.astype(np.intp).ravel()
-        self._feature = np.where(leaf, 0, self.node_feature).astype(np.intp)
-        self._threshold = self.node_threshold.astype(np.uint8)
+        ids = np.arange(leaf.size)
+        child = np.stack([np.where(leaf, ids, self.node_right + base),
+                          np.where(leaf, ids, self.node_left + base)], axis=1)
+        self._child = child.ravel()
+        # number the distinct (feature, threshold) tests of internal nodes in
+        # order of key = feature * 256 + threshold, without a sort; leaves
+        # take the spare key past the last one and read test 0, which their
+        # self-loops ignore
+        spare = self.n_features * _BINS
+        key = np.where(leaf, spare, self.node_feature.astype(np.intp) * _BINS
+                       + self.node_threshold)
+        used = np.zeros(spare + 1, dtype=bool)
+        used[key] = True
+        keys = np.flatnonzero(used[:spare])
+        pair = np.zeros(spare + 1, dtype=np.intp)
+        pair[keys] = np.arange(keys.size)
+        self._pair = pair[key]
+        self._pair_feature = keys // _BINS
+        self._pair_threshold = (keys % _BINS).astype(np.uint8)
         self._roots = self.tree_offsets[:-1].astype(np.intp)
+        # rows per block: a block's go matrix (a column per test) and node
+        # ids (one per tree) stay within about 2**17 elements, so in cache
+        self._block = max(1, 2 ** 17 // max(1, keys.size + self._roots.size))
         self._depth = 0  # deepest leaf, found level by level over all trees
         level = self._roots[~leaf[self._roots]]
         while level.size:
@@ -308,24 +325,25 @@ class Forest:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """b0 plus the learning rate times each tree's leaf value. All trees
-        are walked at once, one block of rows at a time: a block decides
-        every node's split in one (rows x nodes) matrix of about 0.5 MB, so
-        it stays in cache, then moves all (row, tree) pairs depth times."""
+        are walked at once, one block of rows at a time: a block decides each
+        distinct (feature, threshold) test once per row, in one (rows x
+        tests) matrix, then moves all (row, tree) pairs depth times, each
+        node reading its test's column."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected (n, {self.n_features}) features")
         xb = self.bin_mapper.transform(x)
         pred = np.full(x.shape[0], self.b0)
-        n_nodes = max(self._feature.size, 1)
-        block = max(1, 2 ** 19 // n_nodes)
-        for start in range(0, x.shape[0] if self.n_trees else 0, block):
-            rows = slice(start, start + block)
-            go = (xb[rows][:, self._feature] <= self._threshold).ravel()
-            row_base = np.arange(go.size // n_nodes)[:, None] * n_nodes
-            nd = self._roots[None, :].repeat(row_base.size, axis=0)
+        n_pairs = self._pair_feature.size
+        for start in range(0, x.shape[0] if self.n_trees else 0, self._block):
+            rows = slice(start, start + self._block)
+            block = xb[rows]
+            go = (block[:, self._pair_feature] <= self._pair_threshold).ravel()
+            row_base = np.arange(block.shape[0])[:, None] * n_pairs
+            nd = self._roots[None, :].repeat(block.shape[0], axis=0)
             for _ in range(self._depth):
-                nd = self._child[2 * nd + go[row_base + nd]]
+                nd = self._child[2 * nd + go[row_base + self._pair[nd]]]
             # b0 + lr * value summed in tree order, as boosting added them
             terms = self.config.learning_rate * self.node_value[nd]
             terms[:, 0] += self.b0

@@ -8,8 +8,8 @@ never rejected; counting degrades gracefully.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 # Operator kinds, in a fixed reporting order.
 OPERATOR_KINDS: Tuple[str, ...] = (
@@ -93,17 +93,46 @@ class Token(NamedTuple):
     kind: str  # keyword | identifier | placeholder | punctuation
 
 
-@dataclass(frozen=True)
 class CleanedQuery:
-    text: str
-    tokens: Tuple[Token, ...]
-    # the tokens' values, derived from tokens when not given
-    values: Tuple[str, ...] = field(default=None, compare=False, repr=False)
+    """A cleaned query as its token values. ``text`` (the values joined by
+    single spaces) and ``tokens`` (each value with its kind) are built on
+    first access unless given: scoring and featurizing read only
+    ``values``. Equal when text and tokens are equal."""
 
-    def __post_init__(self) -> None:
-        if self.values is None:
-            object.__setattr__(self, "values",
-                               tuple(t.value for t in self.tokens))
+    __slots__ = ("values", "_text", "_tokens")
+
+    def __init__(self, text: Optional[str] = None,
+                 tokens: Optional[Tuple[Token, ...]] = None,
+                 values: Optional[Tuple[str, ...]] = None) -> None:
+        self._text = text
+        self._tokens = None if tokens is None else tuple(tokens)
+        self.values = (tuple(t.value for t in tokens) if values is None
+                       else values)
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = " ".join(self.values)
+        return self._text
+
+    @property
+    def tokens(self) -> Tuple[Token, ...]:
+        if self._tokens is None:
+            # one Token per distinct value: keywords and punctuation repeat
+            token = {v: Token(v, _classify(v)) for v in set(self.values)}
+            self._tokens = tuple(map(token.__getitem__, self.values))
+        return self._tokens
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CleanedQuery):
+            return NotImplemented
+        return (self.text, self.tokens) == (other.text, other.tokens)
+
+    def __hash__(self) -> int:
+        return hash((self.text, self.tokens))
+
+    def __repr__(self) -> str:
+        return f"CleanedQuery(text={self.text!r}, tokens={self.tokens!r})"
 
 
 @dataclass(frozen=True)
@@ -147,12 +176,7 @@ def clean_query(raw_sql: str) -> CleanedQuery:
     text = _DOUBLE_QUOTED.sub(" STR ", text)
     text = _NUMBER.sub(" NUM ", text)
     text = text.upper()
-    values = tuple(_TOKEN.findall(text))
-    # one Token per distinct value: keywords and punctuation repeat
-    token = {v: Token(v, _classify(v)) for v in set(values)}
-    return CleanedQuery(text=" ".join(values),
-                        tokens=tuple(map(token.__getitem__, values)),
-                        values=values)
+    return CleanedQuery(values=tuple(_TOKEN.findall(text)))
 
 
 def _count_with_bindings(toks: Tuple[str, ...], start: int) -> int:

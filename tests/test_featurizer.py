@@ -14,8 +14,10 @@ from slotcast.errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyCorpus,
+    LengthMismatch,
     StateNotFitted,
 )
+from slotcast import featurizer
 from slotcast.featurizer import (
     Featurizer,
     FeaturizerConfig,
@@ -272,6 +274,25 @@ def test_project_dimension_mismatch():
         project_text(basis, np.ones(7))
 
 
+def test_project_text_takes_csr_as_given_or_converted(monkeypatch):
+    fz, _, recs = fitted_featurizers()
+    m = transform_text(fz.text_state, [cq(r.query_text) for r in recs])
+    want = project_text(fz.svd_basis, m)
+    # the same rows with each entry split into two halves of one column
+    dup = sp.csr_matrix((np.repeat(m.data / 2, 2), np.repeat(m.indices, 2),
+                         2 * m.indptr), shape=m.shape)
+    assert not dup.has_canonical_format
+    assert project_text(fz.svd_basis, dup).tobytes() == want.tobytes()
+    for other in (m.toarray(), m.tocsc()):
+        assert project_text(fz.svd_basis, other).tobytes() == want.tobytes()
+
+    def no_csr(*args, **kwargs):
+        raise AssertionError("a canonical float64 CSR was converted again")
+
+    monkeypatch.setattr(featurizer.sp, "csr_matrix", no_csr)
+    assert project_text(fz.svd_basis, m).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Fused featurizer
 # ---------------------------------------------------------------------------
@@ -300,6 +321,21 @@ def test_transform_before_fit_raises():
 def test_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         Featurizer().fit_transform([], [])
+
+
+def test_record_report_and_cleaned_lengths_must_agree():
+    recs, reports = make_records(6)
+    cleaned = [cq(r.query_text) for r in recs]
+    with pytest.raises(LengthMismatch):
+        Featurizer().fit_transform(recs, reports, cleaned[:5])
+    fz = Featurizer(FeaturizerConfig(svd_components=4))
+    fz.fit_transform(recs, reports, cleaned)
+    with pytest.raises(LengthMismatch):  # one report for two records
+        fz.transform(recs[:2], reports[:1], cleaned[:2])
+    with pytest.raises(LengthMismatch):  # a short cleaned list
+        fz.transform(recs[:2], reports[:2], cleaned[:1])
+    with pytest.raises(LengthMismatch):
+        fz.transform(recs[:2], reports[:3])
 
 
 def test_column_count_stable_and_finite():

@@ -451,27 +451,40 @@ def test_predict_matches_naive_walk_bit_for_bit(case):
 
 @pytest.fixture(scope="module")
 def big_forest():
-    """A forest with enough nodes that a 150-row batch spans row blocks."""
+    """A forest with enough tests and trees that a 500-row batch spans
+    several row blocks."""
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 3))
     x[rng.random(400) < 0.1, 2] = np.nan
     y = np.sin(x[:, 0]) + x[:, 1] ** 2 + rng.normal(size=400) * 0.1
     forest = gbrt.fit(x, y, small_config(iterations=180))
-    return forest, rows_with_gaps(rng, 150, 3)
+    return forest, rows_with_gaps(rng, 500, 3)
 
 
 def test_block_crossing_batch_matches_naive_walk(big_forest):
     forest, x = big_forest
-    block = max(1, 2 ** 19 // forest.node_feature.size)
-    assert 1 < block < x.shape[0] // 2  # three or more blocks
+    assert 1 < forest._block < x.shape[0] // 2  # three or more blocks
     assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
     assert_bit_identical(forest.predict(x[:1]),
                          naive_forest_predict(forest, x[:1]))
     assert forest.predict(x[:0]).shape == (0,)
 
 
+def test_each_internal_node_reads_its_own_test(big_forest):
+    forest, _ = big_forest
+    inner = np.flatnonzero(forest.node_feature >= 0)
+    pair = forest._pair[inner]
+    assert forest._pair_feature.size < inner.size
+    assert np.array_equal(forest._pair_feature[pair], forest.node_feature[inner])
+    assert np.array_equal(forest._pair_threshold[pair],
+                          forest.node_threshold[inner])
+    # each test is numbered once
+    keys = forest._pair_feature * 256 + forest._pair_threshold
+    assert np.all(np.diff(keys) > 0)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 149), max_size=80))
+@given(st.lists(st.integers(0, 499), max_size=80))
 def test_row_subset_equals_slice_of_full_batch(big_forest, rows):
     forest, x = big_forest
     rows = np.array(rows, dtype=np.intp)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from slotcast import predictor
+from slotcast import predictor, sql_analyzer
 from slotcast.errors import (
     BundleVersionMismatch,
     CorruptBundle,
@@ -153,6 +153,19 @@ def test_predict_many_matches_predict(bundle, workload):
     for s, b in zip(singles, batch):
         assert s == b
     assert predict_many(bundle, []) == []
+
+
+def test_scoring_builds_no_token_objects(bundle, workload, monkeypatch):
+    records = workload[:30]
+    singles = [predict(bundle, r) for r in records]
+    batch = predict_many(bundle, records)
+
+    def no_tokens(*args):
+        raise AssertionError("a Token was built while scoring")
+
+    monkeypatch.setattr(sql_analyzer, "Token", no_tokens)
+    assert [predict(bundle, r) for r in records] == singles
+    assert predict_many(bundle, records) == batch
 
 
 def test_metadata_train_constants(bundle, workload):
