@@ -21,6 +21,8 @@ from .errors import (ConfigError, CorruptBundle, DimensionMismatch,
 _BINS = 256  # widest histogram a feature can have (value bins + missing bin)
 _NARROW = 16  # widest feature that HistLayout keeps in its narrow block
 MAX_ITERATIONS = 10**6  # boosting rounds; fit allocates one loss slot each
+MAX_LEAVES = 64  # leaves per tree: Forest numbers them as bits of a uint64
+_ALL = np.uint64(2**64 - 1)  # a word with every leaf bit set
 
 
 @dataclass
@@ -40,14 +42,17 @@ class GBRTConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first field out of range. Bins must
         fit the uint8 bin matrix and its histograms (max_bins <= 256), a
-        leaf needs a row and a tree room for one split, and iterations stay
-        below MAX_ITERATIONS (fit allocates its loss curve up front)."""
+        leaf needs a row and a tree room for one split but at most
+        MAX_LEAVES leaves (Forest numbers them as the bits of one word),
+        and iterations stay below MAX_ITERATIONS (fit allocates its loss
+        curve up front)."""
         real, integer = numbers.Real, numbers.Integral
         for name, kind, ok, want in (
                 ("learning_rate", real, lambda v: v > 0, "> 0"),
                 ("iterations", integer, lambda v: 0 <= v <= MAX_ITERATIONS,
                  f"in 0..{MAX_ITERATIONS}"),
-                ("max_leaves", integer, lambda v: v >= 2, ">= 2"),
+                ("max_leaves", integer, lambda v: 2 <= v <= MAX_LEAVES,
+                 f"in 2..{MAX_LEAVES}"),
                 ("min_samples_leaf", integer, lambda v: v >= 1, ">= 1"),
                 ("l2", real, lambda v: v >= 0, ">= 0"),
                 ("max_bins", integer, lambda v: 2 <= v <= _BINS,
@@ -264,11 +269,61 @@ _NODE_ARRAYS = ("node_feature", "node_threshold", "node_left", "node_right",
                 "node_value", "tree_offsets")
 
 
+def _number_leaves(offsets: np.ndarray, inner: np.ndarray,
+                   node_left: np.ndarray, node_right: np.ndarray
+                   ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Number each tree's leaves left to right, in three passes over the
+    levels of all trees at once. Returns the depth of the deepest leaf, the
+    leaves of each tree, each node's leftmost leaf number, and the leaves
+    under each internal node's left child (internal nodes in id order).
+    Raises CorruptBundle unless the children make each tree a tree of at
+    most MAX_LEAVES leaves."""
+    sizes = np.diff(offsets)
+    roots = offsets[:-1].astype(np.intp)
+    base = np.repeat(roots, sizes)
+    n = base.size
+    if np.any(inner & ((np.minimum(node_left, node_right) < 0)
+                       | (np.maximum(node_left, node_right)
+                          >= np.repeat(sizes, sizes)))):
+        raise CorruptBundle("forest: child outside its tree")
+    left, right = node_left + base, node_right + base
+    # top down: every node must be reached exactly once from its tree's
+    # root, which rules out cycles, shared children and unreachable nodes;
+    # visits past n stop a runaway frontier
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    seen = np.zeros(n, dtype=bool)
+    level, visits = roots, 0
+    while level.size and visits <= n:
+        visits += level.size
+        seen[level] = True
+        level = level[inner[level]]
+        if level.size:  # (internal nodes, left children, right children)
+            levels.append((level, left[level], right[level]))
+            level = np.concatenate(levels[-1][1:])
+    if visits != n or not seen.all():
+        raise CorruptBundle("forest: node arrays are not trees")
+    # bottom up: leaves per subtree
+    count = (~inner).astype(np.intp)
+    for nodes, lc, rc in reversed(levels):
+        count[nodes] = count[lc] + count[rc]
+    leaves = count[roots]
+    if np.any(leaves > MAX_LEAVES):
+        raise CorruptBundle(
+            f"forest: a tree has more than {MAX_LEAVES} leaves")
+    # top down again: each subtree's leftmost leaf number
+    first = np.zeros(n, dtype=np.intp)
+    for nodes, lc, rc in levels:
+        first[lc] = first[nodes]
+        first[rc] = first[nodes] + count[lc]
+    return len(levels), leaves, first, count[left[inner]]
+
+
 @dataclass
 class Forest:
     """Fitted ensemble held in flat node arrays, as the bundle stores them:
     tree t owns nodes tree_offsets[t]:tree_offsets[t + 1], root first, and
-    child ids are local to the tree and larger than their parent's."""
+    child ids are local to the tree (fit makes them larger than their
+    parent's)."""
     config: GBRTConfig
     b0: float
     bin_mapper: BinMapper
@@ -281,39 +336,49 @@ class Forest:
     train_losses: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        # one traversal table for all trees: child[2 * node + go_left] in
-        # global ids, leaves looping back to themselves
-        leaf = self.node_feature < 0
-        base = np.repeat(self.tree_offsets[:-1], np.diff(self.tree_offsets))
-        ids = np.arange(leaf.size)
-        child = np.stack([np.where(leaf, ids, self.node_right + base),
-                          np.where(leaf, ids, self.node_left + base)], axis=1)
-        self._child = child.ravel()
-        # number the distinct (feature, threshold) tests of internal nodes in
-        # order of key = feature * 256 + threshold, without a sort; leaves
-        # take the spare key past the last one and read test 0, which their
-        # self-loops ignore
-        spare = self.n_features * _BINS
-        key = np.where(leaf, spare, self.node_feature.astype(np.intp) * _BINS
-                       + self.node_threshold)
-        used = np.zeros(spare + 1, dtype=bool)
+        # QuickScorer leaf masks (Lucchese et al., SIGIR 2015). Each tree
+        # numbers its leaves left to right, bit i of a uint64 standing for
+        # leaf i. An internal node's mask has its left subtree's leaves
+        # cleared: a row that fails the node's test cannot exit there. The
+        # AND of a tree's masks over its failed tests keeps the exit leaf's
+        # bit and clears every leaf left of it, so the exit leaf is the
+        # lowest set bit.
+        inner = self.node_feature >= 0
+        self._depth, leaves, first, left_leaves = _number_leaves(
+            self.tree_offsets, inner, self.node_left, self.node_right)
+        ids = np.flatnonzero(inner)
+        ones = (np.uint64(1) << left_leaves.astype(np.uint64)) - 1
+        mask = ~(ones << first[ids].astype(np.uint64))
+        # tests: the distinct (feature, threshold) pairs of internal nodes,
+        # numbered in order of key = feature * 256 + threshold without a
+        # sort; go row n_tests is always true
+        key = (self.node_feature[ids].astype(np.intp) * _BINS
+               + self.node_threshold[ids])
+        used = np.zeros(self.n_features * _BINS, dtype=bool)
         used[key] = True
-        keys = np.flatnonzero(used[:spare])
-        pair = np.zeros(spare + 1, dtype=np.intp)
+        keys = np.flatnonzero(used)
+        pair = np.zeros(used.size, dtype=np.intp)
         pair[keys] = np.arange(keys.size)
-        self._pair = pair[key]
         self._pair_feature = keys // _BINS
         self._pair_threshold = (keys % _BINS).astype(np.uint8)
-        self._roots = self.tree_offsets[:-1].astype(np.intp)
-        # rows per block: a block's go matrix (a column per test) and node
-        # ids (one per tree) stay within about 2**17 elements, so in cache
-        self._block = max(1, 2 ** 17 // max(1, keys.size + self._roots.size))
-        self._depth = 0  # deepest leaf, found level by level over all trees
-        level = self._roots[~leaf[self._roots]]
-        while level.size:
-            self._depth += 1
-            level = child[level].ravel()
-            level = level[~leaf[level]]
+        # one column per internal node, tree by tree, each tree headed by a
+        # sentinel that reads the always-true row, so a root-only tree still
+        # has a segment for reduceat
+        heads = np.searchsorted(ids, self.tree_offsets[:-1])
+        self._seg_start = heads + np.arange(heads.size)
+        self._col_pair = np.insert(pair[key], heads, keys.size)
+        self._col_mask = np.insert(mask, heads, _ALL)
+        # lr * value of each tree's leaves in leaf-number order; frexp of a
+        # lowest set bit 2**i gives i + 1, hence the - 1 in _leaf_base
+        self._leaf_base = np.cumsum(leaves) - leaves - 1
+        leaf_ids = np.flatnonzero(~inner)
+        self._leaf_value = np.empty(leaf_ids.size)
+        self._leaf_value[np.repeat(self._leaf_base + 1, leaves)
+                         + first[leaf_ids]] = (
+            self.config.learning_rate * self.node_value[leaf_ids])
+        # rows per block: a block's (columns x rows) uint64 words stay
+        # within about 2**17 elements
+        self._block = max(1, 2 ** 17 // max(1, self._col_pair.size))
 
     @property
     def n_features(self) -> int:
@@ -321,33 +386,39 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return self._roots.size
+        return self._seg_start.size
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """b0 plus the learning rate times each tree's leaf value. All trees
-        are walked at once, one block of rows at a time: a block decides each
-        distinct (feature, threshold) test once per row, in one (rows x
-        tests) matrix, then moves all (row, tree) pairs depth times, each
-        node reading its test's column."""
+        are scored at once, one block of rows at a time: a block decides
+        each distinct (feature, threshold) test once per row, in one (tests
+        x rows) matrix, ANDs each tree's masks of the failed tests and takes
+        the lowest set bit as the exit leaf."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected (n, {self.n_features}) features")
         xb = self.bin_mapper.transform(x)
         pred = np.full(x.shape[0], self.b0)
-        n_pairs = self._pair_feature.size
+        n_tests = self._pair_feature.size
         for start in range(0, x.shape[0] if self.n_trees else 0, self._block):
             rows = slice(start, start + self._block)
-            block = xb[rows]
-            go = (block[:, self._pair_feature] <= self._pair_threshold).ravel()
-            row_base = np.arange(block.shape[0])[:, None] * n_pairs
-            nd = self._roots[None, :].repeat(block.shape[0], axis=0)
-            for _ in range(self._depth):
-                nd = self._child[2 * nd + go[row_base + self._pair[nd]]]
+            block = xb[rows].T
+            go = np.empty((n_tests + 1, block.shape[1]), dtype=bool)
+            go[n_tests] = True
+            np.less_equal(np.take(block, self._pair_feature, axis=0),
+                          self._pair_threshold[:, None], out=go[:n_tests])
+            # a column's word: all ones where its test holds, else its mask
+            vals = np.negative(np.take(go, self._col_pair, axis=0),
+                               dtype=np.uint64)
+            np.bitwise_or(vals, self._col_mask[:, None], out=vals)
+            acc = np.bitwise_and.reduceat(vals, self._seg_start, axis=0)
+            # acc & -acc is the lowest set bit, exact as a float
+            bit = np.frexp((acc & -acc).astype(np.float64))[1]
+            terms = self._leaf_value[self._leaf_base[:, None] + bit]
             # b0 + lr * value summed in tree order, as boosting added them
-            terms = self.config.learning_rate * self.node_value[nd]
-            terms[:, 0] += self.b0
-            pred[rows] = np.add.accumulate(terms, axis=1)[:, -1]
+            terms[0] += self.b0
+            pred[rows] = np.add.accumulate(terms, axis=0)[-1]
         return pred
 
     # -- serialization ------------------------------------------------------
@@ -365,10 +436,11 @@ class Forest:
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Forest":
         """Inverse of get_state. Raises CorruptBundle unless the arrays
-        describe walkable trees: each internal node's children lie in its
-        own tree after it, features are known, thresholds fit a uint8 and
-        an internal node's threshold is one of its feature's value bins (fit
-        never splits at the missing bin, which sends every row left)."""
+        describe trees the forest can score: features are known, thresholds
+        fit a uint8 and an internal node's threshold is one of its feature's
+        value bins (fit never splits at the missing bin, which sends every
+        row left); building the forest checks that the children make each
+        tree a tree of at most MAX_LEAVES leaves."""
         f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
         eo, ev = arrays["edge_offsets"], arrays["edge_values"]
         if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
@@ -379,15 +451,13 @@ class Forest:
                 and eo.size > 0 and eo[0] == 0 and eo[-1] == ev.size
                 and np.all((np.diff(eo) >= 0) & (np.diff(eo) < _BINS - 1))):
             raise CorruptBundle("forest: array shapes or offsets disagree")
-        inner = f >= 0
-        local = (np.arange(f.size) - np.repeat(off[:-1], np.diff(off)))[inner]
-        size = np.repeat(np.diff(off), np.diff(off))[inner]
-        if (np.any((f < -1) | (f >= eo.size - 1) | (t < 0) | (t > 255))
-                or np.any(t[inner] > np.diff(eo)[f[inner]])
-                or np.any((lft[inner] <= local) | (lft[inner] >= size))
-                or np.any((rgt[inner] <= local) | (rgt[inner] >= size))):
-            raise CorruptBundle("forest: node feature, threshold or child "
-                                "out of range")
+        # a node's highest threshold: its feature's last value bin, or 255
+        # at a leaf (feature -1 reads the last entry)
+        top = np.append(np.diff(eo), _BINS - 1)
+        if (np.any((f < -1) | (f >= eo.size - 1))
+                or np.any((t < 0) | (t > top[f]))):
+            raise CorruptBundle("forest: node feature or threshold out of "
+                                "range")
         edges = [np.ascontiguousarray(ev[eo[i]:eo[i + 1]])
                  for i in range(eo.size - 1)]
         return cls(config=GBRTConfig.from_dict(meta["config"]),

@@ -180,7 +180,7 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "gbrt.max_bins = 400", "gbrt.iterations = -1", "gbrt.learning_rate = nan",
-    "gbrt.learning_rate = 0", "gbrt.max_leaves = 1",
+    "gbrt.learning_rate = 0", "gbrt.max_leaves = 1", "gbrt.max_leaves = 65",
     "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1", "gbrt.binning_sample = -1",
     "gbrt.iterations = 99999999999999999999999"])
 def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):

@@ -379,7 +379,7 @@ def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
 @pytest.mark.parametrize("field,value", [
     ("max_bins", 400), ("max_bins", 1), ("iterations", -1),
     ("learning_rate", float("nan")), ("learning_rate", 0.0),
-    ("learning_rate", float("inf")), ("max_leaves", 1),
+    ("learning_rate", float("inf")), ("max_leaves", 1), ("max_leaves", 65),
     ("min_samples_leaf", 0), ("l2", -0.5), ("binning_sample", -1),
     ("seed", -1), ("iterations", 2.5), ("l2", None), ("max_leaves", True),
     ("iterations", gbrt.MAX_ITERATIONS + 1), ("iterations", 10**23)])
@@ -400,6 +400,7 @@ def test_config_range_edges_accepted():
     assert forest.n_trees == 1
     assert GBRTConfig.from_dict(forest.config.to_dict()) == forest.config
     assert GBRTConfig(iterations=gbrt.MAX_ITERATIONS).iterations == 10**6
+    assert GBRTConfig(max_leaves=gbrt.MAX_LEAVES).max_leaves == 64
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,7 @@ def small_forests(draw):
     config = GBRTConfig(
         learning_rate=draw(st.sampled_from([0.07, 0.3, 1.0])),
         iterations=draw(st.integers(0, 12)),
-        max_leaves=draw(st.integers(2, 12)),
+        max_leaves=draw(st.integers(2, 64)),
         min_samples_leaf=draw(st.integers(1, n // 2)), seed=seed)
     forest = gbrt.fit(x, y, config)
     m = draw(st.sampled_from([0, 1, 2, 17]))
@@ -473,7 +474,7 @@ def test_block_crossing_batch_matches_naive_walk(big_forest):
 def test_each_internal_node_reads_its_own_test(big_forest):
     forest, _ = big_forest
     inner = np.flatnonzero(forest.node_feature >= 0)
-    pair = forest._pair[inner]
+    pair = np.delete(forest._col_pair, forest._seg_start)  # drop sentinels
     assert forest._pair_feature.size < inner.size
     assert np.array_equal(forest._pair_feature[pair], forest.node_feature[inner])
     assert np.array_equal(forest._pair_threshold[pair],
@@ -481,6 +482,62 @@ def test_each_internal_node_reads_its_own_test(big_forest):
     # each test is numbered once
     keys = forest._pair_feature * 256 + forest._pair_threshold
     assert np.all(np.diff(keys) > 0)
+
+
+def inorder_leaves(forest, tree):
+    """Per node of one tree, by recursive DFS: the left-to-right ranks of
+    the leaves under it, and its depth in edges."""
+    start = int(forest.tree_offsets[tree])
+    under, depth, leaves = {}, {}, []
+
+    def visit(node, d):
+        depth[node] = d
+        if forest.node_feature[start + node] < 0:
+            leaves.append(node)
+            under[node] = [len(leaves) - 1]
+        else:
+            visit(int(forest.node_left[start + node]), d + 1)
+            visit(int(forest.node_right[start + node]), d + 1)
+            under[node] = (under[int(forest.node_left[start + node])]
+                           + under[int(forest.node_right[start + node])])
+
+    visit(0, 0)
+    return under, depth
+
+
+def test_masks_clear_exactly_the_left_subtree_leaves(big_forest):
+    forest, _ = big_forest
+    masks = np.delete(forest._col_mask, forest._seg_start).tolist()
+    inner = np.flatnonzero(forest.node_feature >= 0).tolist()
+    mask_of = dict(zip(inner, masks))
+    deepest = 0
+    for tree in range(forest.n_trees):
+        start = int(forest.tree_offsets[tree])
+        under, depth = inorder_leaves(forest, tree)
+        deepest = max(deepest, max(depth.values()))
+        for node, ranks in under.items():
+            if forest.node_feature[start + node] < 0:
+                continue
+            cleared = ~mask_of[start + node] & (2 ** 64 - 1)
+            left = under[int(forest.node_left[start + node])]
+            assert cleared == sum(1 << r for r in left)
+            assert ranks == list(range(ranks[0], ranks[0] + len(ranks)))
+    assert forest._depth == deepest > 0
+
+
+def test_full_word_of_leaves_matches_naive_walk():
+    """max_leaves=64 fills a whole uint64: an all-missing row goes right at
+    every node, so it exits each full tree at leaf 63, bit 63."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(600, 2))
+    y = np.sin(3 * x[:, 0]) + x[:, 1] + rng.normal(size=600) * 0.1
+    forest = gbrt.fit(x, y, small_config(iterations=6, max_leaves=64,
+                                         min_samples_leaf=1))
+    offsets = forest.tree_offsets
+    assert max(int(np.sum(forest.node_feature[a:b] < 0))
+               for a, b in zip(offsets[:-1], offsets[1:])) == 64
+    x = np.vstack([rows_with_gaps(rng, 40, 2), np.full((1, 2), np.nan)])
+    assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
 
 
 @settings(max_examples=40, deadline=None)
@@ -521,10 +578,21 @@ def _threshold_last_value_bin_plus(k):
     return edit
 
 
+def _leaf_loops_to_root(arrays, inner):
+    """The last node, a leaf, becomes a split whose children are the root:
+    every node is still reached, but the root twice and in a cycle."""
+    last = arrays["node_feature"].size - 1
+    assert arrays["node_feature"][last] < 0
+    for name, value in (("node_feature", 0), ("node_left", 0),
+                        ("node_right", 0)):
+        arrays[name][last] = value
+
+
 @pytest.mark.parametrize("edit", [
     _set("node_left", 0),            # points back at the root: a cycle
     _set("node_right", -1),          # before its parent
     _set("node_left", 10_000),       # beyond its tree
+    _set("node_right", 10_000),
     _set("node_feature", 2),         # only features 0 and 1 exist
     _set("node_feature", -2),
     _set("node_threshold", 256),     # does not fit a uint8 bin
@@ -534,14 +602,42 @@ def _threshold_last_value_bin_plus(k):
     lambda a, i: a.update(tree_offsets=a["tree_offsets"][:-1].copy()),
     lambda a, i: a.update(node_value=a["node_value"][:-1].copy()),
     lambda a, i: a.update(edge_offsets=a["edge_offsets"] + 1),
+    _leaf_loops_to_root,
 ], ids=["cycle", "child-before-parent", "child-outside-tree",
+        "right-child-outside-tree",
         "feature-too-large", "feature-below-leaf-marker", "threshold-256",
         "threshold-negative", "threshold-missing-bin", "offsets-decreasing",
-        "offsets-short", "values-short", "edge-offsets"])
+        "offsets-short", "values-short", "edge-offsets",
+        "leaf-loops-to-root"])
 def test_from_state_rejects_unwalkable_arrays(edit):
     meta, arrays = corrupted_state(edit)
     with pytest.raises(CorruptBundle):
         Forest.from_state(meta, arrays)
+
+
+@pytest.mark.parametrize("n_leaves", [64, 65])
+def test_from_state_takes_at_most_64_leaves_per_tree(n_leaves):
+    """A right-leaning chain of n_leaves leaves: node 2i splits at bin i,
+    its left child 2i + 1 is a leaf and its right child 2i + 2 splits next."""
+    x = np.linspace(0, 1, 200).reshape(-1, 1)
+    meta, arrays = gbrt.fit(x, x[:, 0], small_config(iterations=1)).get_state()
+    size = 2 * n_leaves - 1
+    ids = np.arange(size, dtype=np.int32)
+    inner = (ids % 2 == 0) & (ids < size - 1)
+    arrays.update(
+        node_feature=np.where(inner, 0, -1).astype(np.int32),
+        node_threshold=np.where(inner, ids // 2, 0).astype(np.int32),
+        node_left=np.where(inner, ids + 1, -1).astype(np.int32),
+        node_right=np.where(inner, ids + 2, -1).astype(np.int32),
+        node_value=np.arange(size, dtype=np.float64),
+        tree_offsets=np.array([0, size], dtype=np.int64))
+    if n_leaves > gbrt.MAX_LEAVES:
+        with pytest.raises(CorruptBundle, match="64 leaves"):
+            Forest.from_state(meta, arrays)
+        return
+    forest = Forest.from_state(meta, arrays)
+    x = np.vstack([x, [[np.nan]]])  # the missing bin exits at leaf 63
+    assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
 
 
 def test_from_state_accepts_threshold_at_last_value_bin():

@@ -265,6 +265,45 @@ def test_resigned_bundle_with_flipped_child_id_rejected(bundle):
         deserialize_bundle(flipped)
 
 
+def test_resigned_bundle_with_shared_child_rejected(bundle):
+    """Of two nodes that split into two leaves, the first one's right child
+    becomes the second one's left leaf: that leaf has two parents and the
+    first one's right leaf is cut off. The node count still adds up, and
+    every child still lies after its parent inside its tree."""
+    route = sorted(bundle.forests)[0]
+    forest = bundle.forests[route]
+    size = int(forest.tree_offsets[1])  # tree 0: local ids are global
+    f, lft, rgt = (a[:size] for a in (forest.node_feature, forest.node_left,
+                                      forest.node_right))
+    inner = np.flatnonzero(f >= 0)
+    p, q = inner[(f[lft[inner]] < 0) & (f[rgt[inner]] < 0)][:2]
+
+    def share_a_leaf(node_right):
+        node_right[p] = lft[q]
+
+    shared = resigned(serialize_bundle(bundle), f"forest.{route}.node_right",
+                      share_a_leaf)
+    with pytest.raises(CorruptBundle, match="not trees"):
+        deserialize_bundle(shared)
+
+
+def test_resigned_bundle_with_unreachable_node_rejected(bundle):
+    """An internal node below the root is marked a leaf, so its children
+    keep their one parent but no root reaches them."""
+    route = sorted(bundle.forests)[0]
+    forest = bundle.forests[route]
+    a = int(forest.node_left[0])
+    assert forest.node_feature[0] >= 0 and forest.node_feature[a] >= 0
+
+    def cut_below(node_feature):
+        node_feature[a] = -1
+
+    cut = resigned(serialize_bundle(bundle), f"forest.{route}.node_feature",
+                   cut_below)
+    with pytest.raises(CorruptBundle, match="not trees"):
+        deserialize_bundle(cut)
+
+
 def test_retrain_byte_identical(workload, small_train_config):
     b1 = train(workload, small_train_config)
     b2 = train(workload, small_train_config)
