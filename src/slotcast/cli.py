@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import evaluator, predictor, synth
+from .config import settings, with_values
 from .errors import (
     BundleVersionMismatch,
     ConfigError,
@@ -132,40 +133,15 @@ def load_config_file(path) -> Dict[str, str]:
     return values
 
 
-_BOOLS = {"1": True, "true": True, "yes": True,
-          "0": False, "false": False, "no": False}
-
-
-def _scalar_keys(obj, prefix: str) -> Dict[str, str]:
-    """{config key: field name} for the bool/int/float fields of obj."""
-    return {prefix + f.name: f.name for f in dataclasses.fields(obj)
-            if isinstance(getattr(obj, f.name), (bool, int, float))}
-
-
-def _overrides(obj, values: Dict[str, str], prefix: str):
-    """obj with each of its scalar fields that values names replaced."""
-    changes = {}
-    for key, name in _scalar_keys(obj, prefix).items():
-        if key not in values:
-            continue
-        raw, kind = values[key], type(getattr(obj, name))
-        try:
-            changes[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
-        except (KeyError, ValueError):
-            raise ConfigError(
-                f"{key}: {raw!r} is not a valid {kind.__name__}") from None
-    return dataclasses.replace(obj, **changes)
-
-
 def _reject_unknown_keys(values: Dict[str, str]) -> None:
     """A key is known when train or synth reads it, so one file serves both."""
     train, workload = predictor.TrainConfig(), synth.WorkloadConfig()
-    known = {**_scalar_keys(train.featurizer, "featurizer."),
-             **_scalar_keys(train.gbrt, "gbrt."),
-             **_scalar_keys(train.router, "router."),
-             **_scalar_keys(workload, "synth."),
-             **_scalar_keys(workload.oracle, "oracle.")}
-    unknown = sorted(set(values) - set(known))
+    sections = {"featurizer": train.featurizer, "gbrt": train.gbrt,
+                "router": train.router, "synth": workload,
+                "oracle": workload.oracle}
+    known = {f"{prefix}.{name}" for prefix, section in sections.items()
+             for name in settings(section)}
+    unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
@@ -174,16 +150,16 @@ def train_config_from_values(values: Dict[str, str]) -> predictor.TrainConfig:
     _reject_unknown_keys(values)
     cfg = predictor.TrainConfig()
     return predictor.TrainConfig(
-        featurizer=_overrides(cfg.featurizer, values, "featurizer."),
-        gbrt=_overrides(cfg.gbrt, values, "gbrt."),
-        router=_overrides(cfg.router, values, "router."))
+        featurizer=with_values(cfg.featurizer, values, "featurizer"),
+        gbrt=with_values(cfg.gbrt, values, "gbrt"),
+        router=with_values(cfg.router, values, "router"))
 
 
 def workload_config_from_values(values: Dict[str, str]) -> synth.WorkloadConfig:
     _reject_unknown_keys(values)
-    cfg = _overrides(synth.WorkloadConfig(), values, "synth.")
+    cfg = with_values(synth.WorkloadConfig(), values, "synth")
     return dataclasses.replace(
-        cfg, oracle=_overrides(cfg.oracle, values, "oracle."))
+        cfg, oracle=with_values(cfg.oracle, values, "oracle"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +180,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_synth(args) -> int:
     values = load_config_file(args.config) if args.config else {}
-    cfg = workload_config_from_values(values)
-    if args.n_queries is not None:
-        cfg.n_queries = args.n_queries
-    if args.seed is not None:
-        cfg.seed = args.seed
+    flags = {"n_queries": args.n_queries, "seed": args.seed}
+    cfg = dataclasses.replace(
+        workload_config_from_values(values),
+        **{k: v for k, v in flags.items() if v is not None})
     records = synth.generate(cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         for rec in records:

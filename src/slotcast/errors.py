@@ -49,10 +49,6 @@ class CorruptBundle(SlotcastError):
     """Serialized bundle failed integrity checks."""
 
 
-class InvalidConfig(SlotcastError):
-    """Workload or training configuration is inconsistent."""
-
-
 class OverlappingEnvironments(SlotcastError):
     """Train and test environment lists share a label."""
 
@@ -62,5 +58,5 @@ class MalformedRecord(SlotcastError):
 
 
 class ConfigError(SlotcastError, ValueError):
-    """A --config file has a malformed line, an unknown key or a value of
-    the wrong type."""
+    """A config file has a malformed line or an unknown key, or a config
+    setting is of the wrong type, not finite or out of range."""

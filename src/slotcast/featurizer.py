@@ -6,17 +6,16 @@ fitted state.
 """
 from __future__ import annotations
 
-import numbers
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from .config import check, from_dict, setting, to_dict
 from .errors import (
-    ConfigError,
     DegenerateInput,
     DimensionMismatch,
     EmptyCorpus,
@@ -196,36 +195,18 @@ OTHER_CATEGORY = "__OTHER__"
 
 @dataclass
 class FeaturizerConfig:
-    min_df: int = 2
-    max_vocab: int = 50_000
-    svd_components: int = 512
-    top_n_categories: int = 20
-    top_n_asset_type_counts: int = 20
+    min_df: int = setting(2, ge=1)
+    max_vocab: int = setting(50_000, ge=1)
+    svd_components: int = setting(512, ge=1)
+    top_n_categories: int = setting(20, ge=0)
+    top_n_asset_type_counts: int = setting(20, ge=0)
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first field that is not an integer
-        in range: min_df, max_vocab and svd_components >= 1, the top-N
-        category counts >= 0."""
-        for f in fields(self):
-            v = getattr(self, f.name)
-            low = 1 if f.name in ("min_df", "max_vocab", "svd_components") else 0
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-                raise ConfigError(
-                    f"featurizer.{f.name}: {v!r} is not an integer >= {low}")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeaturizerConfig":
-        """Inverse of to_dict: every field must be present."""
-        missing = sorted({f.name for f in fields(cls)} - set(d))
-        if missing:
-            raise ConfigError(f"featurizer config lacks {', '.join(missing)}")
-        return cls(**d)
+        """Raise ConfigError naming the first field out of range."""
+        check(self, "featurizer")
 
 
 @dataclass
@@ -253,11 +234,10 @@ def _stack_columns(cols: Sequence[Sequence[float]], n: int) -> np.ndarray:
 
 def _check_lengths(records: Sequence[QueryRecord],
                    reports: Sequence[ComplexityReport],
-                   cleaned: Optional[Sequence[CleanedQuery]]) -> None:
-    if len(reports) != len(records) or (cleaned is not None
-                                        and len(cleaned) != len(records)):
-        raise LengthMismatch("one ComplexityReport and, when given, one "
-                             "CleanedQuery per record required")
+                   cleaned: Sequence[CleanedQuery]) -> None:
+    if not len(records) == len(reports) == len(cleaned):
+        raise LengthMismatch("one ComplexityReport and one CleanedQuery per "
+                             "record required")
 
 
 class Featurizer:
@@ -346,16 +326,12 @@ class Featurizer:
 
     def fit_transform(self, records: Sequence[QueryRecord],
                       reports: Sequence[ComplexityReport],
-                      cleaned: Optional[Sequence[CleanedQuery]] = None
-                      ) -> FeatureMatrix:
+                      cleaned: Sequence[CleanedQuery]) -> FeatureMatrix:
         if len(records) == 0:
             raise EmptyCorpus("fit_transform requires at least one record")
         _check_lengths(records, reports, cleaned)
         cfg = self.config
         cfg.validate()  # also catches a field changed after construction
-        if cleaned is None:
-            from .sql_analyzer import clean_query
-            cleaned = [clean_query(r.query_text) for r in records]
 
         # text pipeline
         self.text_state = fit_text(cleaned, min_df=cfg.min_df,
@@ -409,14 +385,10 @@ class Featurizer:
 
     def transform(self, records: Sequence[QueryRecord],
                   reports: Sequence[ComplexityReport],
-                  cleaned: Optional[Sequence[CleanedQuery]] = None
-                  ) -> FeatureMatrix:
+                  cleaned: Sequence[CleanedQuery]) -> FeatureMatrix:
         if not self._fitted:
             raise StateNotFitted("featurizer must be fit before transform")
         _check_lengths(records, reports, cleaned)
-        if cleaned is None:
-            from .sql_analyzer import clean_query
-            cleaned = [clean_query(r.query_text) for r in records]
         text = project_text(self.svd_basis,
                             transform_text(self.text_state, cleaned))
         num = (self._raw_numeric(records, reports) - self.num_mean) / self.num_std
@@ -433,7 +405,7 @@ class Featurizer:
         if not self._fitted:
             raise StateNotFitted("cannot serialize an unfitted featurizer")
         meta = {
-            "config": self.config.to_dict(),
+            "config": to_dict(self.config),
             "vocabulary": sorted(self.text_state.vocabulary,
                                  key=self.text_state.vocabulary.get),
             "n_docs": self.text_state.n_docs,
@@ -454,7 +426,7 @@ class Featurizer:
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Featurizer":
-        fz = cls(FeaturizerConfig.from_dict(meta["config"]))
+        fz = cls(from_dict(FeaturizerConfig, meta["config"]))
         vocab = {t: i for i, t in enumerate(meta["vocabulary"])}
         fz.text_state = TextVectorizerState(
             vocabulary=vocab,

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (ConfigError, CorruptBundle, DimensionMismatch,
-                     NonFiniteTarget, TooFewSamples)
+from .config import check, from_dict, setting, to_dict
+from .errors import (CorruptBundle, DimensionMismatch, NonFiniteTarget,
+                     TooFewSamples)
 
 _BINS = 256  # widest histogram a feature can have (value bins + missing bin)
 _NARROW = 16  # widest feature that HistLayout keeps in its narrow block
@@ -27,54 +26,26 @@ _ALL = np.uint64(2**64 - 1)  # a word with every leaf bit set
 
 @dataclass
 class GBRTConfig:
-    learning_rate: float = 0.07
-    iterations: int = 300
-    max_leaves: int = 31
-    min_samples_leaf: int = 20
-    l2: float = 0.0
-    max_bins: int = 255
-    seed: int = 0
-    binning_sample: int = 100_000
+    """Bins must fit the uint8 bin matrix and its histograms (max_bins <=
+    256), a leaf needs a row and a tree room for one split but at most
+    MAX_LEAVES leaves (Forest numbers them as the bits of one word), and
+    iterations stay below MAX_ITERATIONS (fit allocates its loss curve up
+    front)."""
+    learning_rate: float = setting(0.07, gt=0)
+    iterations: int = setting(300, ge=0, le=MAX_ITERATIONS)
+    max_leaves: int = setting(31, ge=2, le=MAX_LEAVES)
+    min_samples_leaf: int = setting(20, ge=1)
+    l2: float = setting(0.0, ge=0)
+    max_bins: int = setting(255, ge=2, le=_BINS)
+    seed: int = setting(0, ge=0)
+    binning_sample: int = setting(100_000, ge=0)
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first field out of range. Bins must
-        fit the uint8 bin matrix and its histograms (max_bins <= 256), a
-        leaf needs a row and a tree room for one split but at most
-        MAX_LEAVES leaves (Forest numbers them as the bits of one word),
-        and iterations stay below MAX_ITERATIONS (fit allocates its loss
-        curve up front)."""
-        real, integer = numbers.Real, numbers.Integral
-        for name, kind, ok, want in (
-                ("learning_rate", real, lambda v: v > 0, "> 0"),
-                ("iterations", integer, lambda v: 0 <= v <= MAX_ITERATIONS,
-                 f"in 0..{MAX_ITERATIONS}"),
-                ("max_leaves", integer, lambda v: 2 <= v <= MAX_LEAVES,
-                 f"in 2..{MAX_LEAVES}"),
-                ("min_samples_leaf", integer, lambda v: v >= 1, ">= 1"),
-                ("l2", real, lambda v: v >= 0, ">= 0"),
-                ("max_bins", integer, lambda v: 2 <= v <= _BINS,
-                 f"in 2..{_BINS}"),
-                ("seed", integer, lambda v: v >= 0, ">= 0"),
-                ("binning_sample", integer, lambda v: v >= 0, ">= 0")):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, kind)
-                    or not (kind is integer or math.isfinite(v)) or not ok(v)):
-                what = "an integer" if kind is integer else "a finite number"
-                raise ConfigError(f"gbrt.{name}: {v!r} is not {what} {want}")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GBRTConfig":
-        """Inverse of to_dict: every field must be present."""
-        missing = sorted({f.name for f in fields(cls)} - set(d))
-        if missing:
-            raise ConfigError(f"gbrt config lacks {', '.join(missing)}")
-        return cls(**d)
+        """Raise ConfigError naming the first field out of range."""
+        check(self, "gbrt")
 
 
 class BinMapper:
@@ -426,7 +397,7 @@ class Forest:
     def get_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         edges = self.bin_mapper.bin_edges
         edge_offsets = np.cumsum([0] + [e.size for e in edges]).astype(np.int64)
-        meta = {"config": self.config.to_dict(), "b0": self.b0,
+        meta = {"config": to_dict(self.config), "b0": self.b0,
                 "n_trees": self.n_trees}
         arrays = {k: getattr(self, k) for k in _NODE_ARRAYS + ("train_losses",)}
         arrays["edge_values"] = np.concatenate(edges) if edges else np.empty(0)
@@ -460,7 +431,7 @@ class Forest:
                                 "range")
         edges = [np.ascontiguousarray(ev[eo[i]:eo[i + 1]])
                  for i in range(eo.size - 1)]
-        return cls(config=GBRTConfig.from_dict(meta["config"]),
+        return cls(config=from_dict(GBRTConfig, meta["config"]),
                    b0=float(meta["b0"]), bin_mapper=BinMapper(edges),
                    train_losses=arrays["train_losses"],
                    **{k: arrays[k] for k in _NODE_ARRAYS})

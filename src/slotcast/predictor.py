@@ -12,12 +12,13 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import gbrt
+from .config import check, from_dict, setting, to_dict
 from .errors import (
     BundleVersionMismatch,
     CorruptBundle,
@@ -67,8 +68,11 @@ def inverse_target(z):
 
 @dataclass(frozen=True)
 class Router:
-    threshold: int = 26
-    min_subset: int = 50
+    threshold: int = setting(26, ge=0)
+    min_subset: int = setting(50, ge=0)
+
+    def __post_init__(self) -> None:
+        check(self, "router")
 
     def route(self, score: int) -> str:
         return ROUTE_SIMPLE if score < self.threshold else ROUTE_COMPLEX
@@ -79,18 +83,6 @@ class TrainConfig:
     featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
     gbrt: GBRTConfig = field(default_factory=GBRTConfig)
     router: Router = field(default_factory=Router)
-
-    def to_dict(self) -> dict:
-        return {"featurizer": self.featurizer.to_dict(),
-                "gbrt": self.gbrt.to_dict(),
-                "router": {"threshold": self.router.threshold,
-                           "min_subset": self.router.min_subset}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(featurizer=FeaturizerConfig.from_dict(d["featurizer"]),
-                   gbrt=GBRTConfig.from_dict(d["gbrt"]),
-                   router=Router(**d["router"]))
 
 
 @dataclass
@@ -152,7 +144,8 @@ def train(records: Sequence[QueryRecord],
 
     actual_slot = np.expm1(y)
     metadata = {
-        "config": config.to_dict(),
+        "config": {f.name: to_dict(getattr(config, f.name))
+                   for f in fields(config)},
         "seed": config.gbrt.seed,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "n_records": n,
@@ -216,8 +209,7 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
     ordered = sorted(arrays)
     header = {
         "format_version": bundle.format_version,
-        "router": {"threshold": bundle.router.threshold,
-                   "min_subset": bundle.router.min_subset},
+        "router": to_dict(bundle.router),
         "metadata": bundle.metadata,
         "featurizer": fz_meta,
         "forests": forest_meta,
@@ -300,12 +292,9 @@ def _bundle_from_header(header: dict, payload: memoryview,
         forests[route] = Forest.from_state(
             meta, {k[len(prefix):]: v for k, v in arrays.items()
                    if k.startswith(prefix)})
-    router = header["router"]
-    if (set(router) != {"threshold", "min_subset"}
-            or any(type(v) is not int for v in router.values())):
-        raise CorruptBundle("router needs integer threshold and min_subset")
     return ModelBundle(format_version=version, featurizer=featurizer,
-                       router=Router(**router), forests=forests,
+                       router=from_dict(Router, header["router"]),
+                       forests=forests,
                        metadata=header["metadata"])
 
 

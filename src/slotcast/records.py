@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from .errors import MalformedRecord
 
-_INT64_MAX = 2 ** 63 - 1
+INT64_MAX = 2 ** 63 - 1
 
 
 def _text(name: str, v):
@@ -22,10 +22,10 @@ def _flag(name: str, v):
 
 
 def _number(name: str, v, low, integral: bool):
-    if type(v) is int and low <= v <= _INT64_MAX:  # the common case, first
+    if type(v) is int and low <= v <= INT64_MAX:  # the common case, first
         return v
     if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or not low <= v <= _INT64_MAX
+            or not low <= v <= INT64_MAX
             or (integral and isinstance(v, float) and not v.is_integer())):
         kind = "a whole number" if integral else "a number"
         bounds = "0..2**63-1" if low == 0 else "-(2**63-1)..2**63-1"
@@ -38,7 +38,7 @@ def _count(name: str, v):
 
 
 def _millis(name: str, v):
-    return _number(name, v, -_INT64_MAX, integral=False)
+    return _number(name, v, -INT64_MAX, integral=False)
 
 
 def _counts(name: str, v):

@@ -12,8 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidConfig, OverlappingEnvironments
-from .records import QueryRecord
+from .config import check, setting
+from .errors import ConfigError, OverlappingEnvironments
+from .records import INT64_MAX, QueryRecord
 from .sql_analyzer import DEFAULT_WEIGHTS, OPERATOR_KINDS
 
 
@@ -50,11 +51,13 @@ def default_profiles() -> List[EnvironmentProfile]:
 
 @dataclass(frozen=True)
 class OracleCostModel:
-    base: float = 0.05
-    volume_exponent: float = 0.8
-    complexity_slope: float = 0.02
-    cache_multiplier: float = 1e-4
-    sigma: float = 0.5
+    base: float = setting(0.05, ge=0)
+    volume_exponent: float = setting(0.8, ge=0)
+    complexity_slope: float = setting(0.02, ge=0)
+    cache_multiplier: float = setting(1e-4, ge=0)
+
+    def __post_init__(self) -> None:
+        check(self, "oracle")
 
     def slot_minutes(self, bytes_processed: float, score: int,
                      cache_hit: bool, noise: float = 0.0) -> float:
@@ -218,28 +221,28 @@ def plan_score(counts: Dict[str, int]) -> int:
 
 @dataclass
 class WorkloadConfig:
-    n_queries: int = 1000
+    n_queries: int = setting(1000, ge=0)
     profiles: List[EnvironmentProfile] = field(default_factory=default_profiles)
-    trivial_fraction: float = 0.62
-    long_tail_fraction: float = 0.03
-    heavy_mid_fraction: float = 0.35
-    noise_sigma: float = 0.5
-    seed: int = 0
+    trivial_fraction: float = setting(0.62, ge=0, le=1)
+    long_tail_fraction: float = setting(0.03, ge=0, le=1)
+    heavy_mid_fraction: float = setting(0.35, ge=0, le=1)
+    noise_sigma: float = setting(0.5, ge=0)
+    seed: int = setting(0, ge=0)
     oracle: OracleCostModel = field(default_factory=OracleCostModel)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        fr = (self.trivial_fraction, self.long_tail_fraction,
-              self.heavy_mid_fraction)
-        if any(f < 0 or f > 1 for f in fr):
-            raise InvalidConfig("fractions must lie in [0, 1]")
+        """Raise ConfigError on a setting out of range, trivial and
+        long-tail fractions above 1 together, or no environment profile."""
+        check(self, "synth")
         if self.trivial_fraction + self.long_tail_fraction > 1:
-            raise InvalidConfig("trivial + long-tail fractions exceed 1")
-        if self.n_queries < 0:
-            raise InvalidConfig("n_queries must be >= 0")
-        if self.noise_sigma < 0:
-            raise InvalidConfig("noise_sigma must be >= 0")
+            raise ConfigError("synth.trivial_fraction + "
+                              "synth.long_tail_fraction exceed 1")
         if not self.profiles:
-            raise InvalidConfig("at least one environment profile required")
+            raise ConfigError("synth: at least one environment profile "
+                              "required")
 
 
 _ASSET_TYPES = ("vm", "bucket", "db", "lb", "container", "function")
@@ -312,9 +315,19 @@ def generate(config: WorkloadConfig) -> List[QueryRecord]:
         sql, counts = render_query(plan)
         score = plan_score(counts)
         noise = float(rng.normal(0.0, config.noise_sigma))
-        slot_min = config.oracle.slot_minutes(bytes_processed, score,
-                                              cache_hit, noise)
-        elapsed = slot_min * 60000.0 * float(rng.uniform(0.5, 2.0)) + 10.0
+        try:
+            slot_min = config.oracle.slot_minutes(bytes_processed, score,
+                                                  cache_hit, noise)
+            elapsed = slot_min * 60000.0 * float(rng.uniform(0.5, 2.0)) + 10.0
+        except OverflowError:
+            slot_min = elapsed = math.inf
+        # NaN fails both tests; ingest reads no milliseconds above INT64_MAX
+        if not (slot_min * 60000.0 <= INT64_MAX and elapsed <= INT64_MAX):
+            raise ConfigError(
+                f"oracle.base, oracle.volume_exponent, oracle.complexity_slope,"
+                f" oracle.cache_multiplier and synth.noise_sigma give query {i}"
+                f" a slot or elapsed time that is not finite or exceeds "
+                f"2**63-1 ms")
         asset_type = _ASSET_TYPES[int(rng.integers(0, len(_ASSET_TYPES)))]
         atc_keys = list(rng.choice(_ASSET_TYPES, size=3, replace=False))
         asset_type_counts = {

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,9 +23,12 @@ from slotcast.cli import (
     train_config_from_values,
     workload_config_from_values,
 )
-from slotcast.predictor import FORMAT_VERSION
+from slotcast.config import settings as declared_settings
+from slotcast.featurizer import FeaturizerConfig
+from slotcast.gbrt import GBRTConfig
+from slotcast.predictor import FORMAT_VERSION, Router
 from slotcast.records import _CHECKS, QueryRecord
-from slotcast.synth import WorkloadConfig, generate
+from slotcast.synth import OracleCostModel, WorkloadConfig, generate
 
 
 def write_jsonl(path, records):
@@ -184,7 +188,7 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
     "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1", "gbrt.binning_sample = -1",
     "gbrt.iterations = 99999999999999999999999"])
 def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
-    assert_train_config_rejected(tmp_path, capsys, line)
+    assert_config_rejected(tmp_path, capsys, line, "train")
 
 
 @pytest.mark.parametrize("line", [
@@ -192,7 +196,7 @@ def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
     "featurizer.min_df = -3", "featurizer.max_vocab = 0",
     "featurizer.top_n_asset_type_counts = -2"])
 def test_out_of_range_featurizer_value_is_usage_error(tmp_path, capsys, line):
-    assert_train_config_rejected(tmp_path, capsys, line)
+    assert_config_rejected(tmp_path, capsys, line, "train")
 
 
 @pytest.mark.parametrize("key", [
@@ -210,27 +214,100 @@ def test_retired_svd_keys_are_unknown(tmp_path, capsys, key):
     assert not (tmp_path / "m.sltb").exists()
 
 
-def assert_train_config_rejected(tmp_path, capsys, line):
-    data = tmp_path / "w.jsonl"
-    write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
+def assert_config_rejected(tmp_path, capsys, line, command):
+    """command exits 64 with a config error that starts with the line's
+    key, and writes no output file."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    assert main(["train", "--input", str(data), "--output-bundle",
-                 str(tmp_path / "m.sltb"), "--config", str(cfg)]) == EXIT_USAGE
+    out = tmp_path / "out"
+    if command == "train":
+        data = tmp_path / "w.jsonl"
+        write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
+        args = ["train", "--input", str(data), "--output-bundle", str(out)]
+    else:
+        args = ["synth", "--output", str(out), "--n-queries", "50"]
+    assert main(args + ["--config", str(cfg)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("config error: " + line.split(" ")[0])
-    assert not (tmp_path / "m.sltb").exists()
+    assert not out.exists()
+
+
+# section prefix -> (the command that reads it, its config class)
+CONFIG_SECTIONS = {"featurizer": ("train", FeaturizerConfig),
+                   "gbrt": ("train", GBRTConfig),
+                   "router": ("train", Router),
+                   "synth": ("synth", WorkloadConfig),
+                   "oracle": ("synth", OracleCostModel)}
+
+
+def _past_each_bound():
+    """A line past each bound of every declared setting, and one setting
+    each float to nan, with the command that reads it."""
+    for prefix, (command, cls) in CONFIG_SECTIONS.items():
+        for name, f in declared_settings(cls).items():
+            ge, gt, le = f.metadata["bounds"]
+            past = [ge - 1] if ge is not None else []
+            past += [gt] if gt is not None else []
+            past += [le + 1] if le is not None else []
+            if f.metadata["kind"] is float:
+                past.append("nan")
+            for v in past:
+                yield pytest.param(command, f"{prefix}.{name} = {v}",
+                                   id=f"{prefix}.{name}={v}")
+
+
+@pytest.mark.parametrize("command,line", list(_past_each_bound()))
+def test_setting_past_its_bound_is_usage_error(tmp_path, capsys, command,
+                                               line):
+    assert_config_rejected(tmp_path, capsys, line, command)
+
+
+@pytest.mark.parametrize("cls", [c for _, c in CONFIG_SECTIONS.values()])
+def test_every_scalar_config_field_is_a_declared_setting(cls):
+    """Only declared settings are checked and known to the config file
+    parser, so a scalar field must not skip the declaration."""
+    default = cls()
+    scalars = {f.name for f in dataclasses.fields(cls)
+               if isinstance(getattr(default, f.name), (bool, int, float))}
+    assert scalars == set(declared_settings(cls))
+    assert all(f.metadata["kind"] is type(getattr(default, name))
+               for name, f in declared_settings(cls).items())
+
+
+@pytest.mark.parametrize("line", [
+    "oracle.volume_exponent = 1000", "synth.noise_sigma = 1e6",
+    "oracle.base = 1e308", "oracle.base = 1e300"])
+def test_synth_overflowing_oracle_is_usage_error(tmp_path, capsys, line):
+    """Finite settings whose slot or elapsed times overflow, or exceed
+    what ingest reads back, are rejected before the output is opened."""
+    out = tmp_path / "s.jsonl"
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["synth", "--output", str(out), "--n-queries", "50",
+                 "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and line.split(" ")[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,key", [("--n-queries", "synth.n_queries"),
+                                      ("--seed", "synth.seed")])
+def test_negative_synth_flag_is_usage_error(tmp_path, capsys, flag, key):
+    out = tmp_path / "s.jsonl"
+    assert main(["synth", "--output", str(out), flag, "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {key}: -1")
+    assert not out.exists()
 
 
 def test_config_keys_of_either_command_accepted(tmp_path):
-    values = {"synth.noise_sigma": "0.1", "oracle.sigma": "0.2",
+    values = {"synth.noise_sigma": "0.1", "oracle.base": "0.2",
               "featurizer.cache": "x"}
     with pytest.raises(ValueError, match="featurizer.cache"):
         train_config_from_values(values)
     del values["featurizer.cache"]
     assert train_config_from_values(values) == train_config_from_values({})
     wl = workload_config_from_values({**values, "gbrt.l2": "1"})
-    assert wl.noise_sigma == 0.1 and wl.oracle.sigma == 0.2
+    assert wl.noise_sigma == 0.1 and wl.oracle.base == 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +521,7 @@ def _forest_config(field, value):
     lambda h: h["arrays"][0].update(shape="x"),
     lambda h: next(iter(h["forests"].values())).pop("b0"),
     _forest_config("max_bins", 400), _forest_config("learning_rate", -1),
-    _forest_config("unknown", 1),
+    _forest_config("unknown", 1), _forest_config("learning_rate", 10**400),
     lambda h: [m["config"].pop("learning_rate") for m in h["forests"].values()],
     lambda h: h["featurizer"].update(config={}),
     lambda h: h["featurizer"]["config"].update(svd_components=-5),
@@ -456,6 +533,7 @@ def _forest_config(field, value):
         "metadata-list", "featurizer-missing-key", "array-spec-no-dtype",
         "array-shape-string", "forest-no-b0", "config-max_bins-400",
         "config-negative-learning_rate", "config-unknown-key",
+        "config-learning_rate-beyond-float",
         "config-missing-key", "featurizer-config-empty",
         "featurizer-config-negative-svd_components",
         "featurizer-config-negative-top_n_categories",

@@ -18,6 +18,7 @@ from slotcast.errors import (
     StateNotFitted,
 )
 from slotcast import featurizer
+from slotcast.config import from_dict, to_dict
 from slotcast.featurizer import (
     Featurizer,
     FeaturizerConfig,
@@ -299,33 +300,32 @@ def test_project_text_takes_csr_as_given_or_converted(monkeypatch):
 
 def make_records(n=40, seed=0):
     recs = generate(WorkloadConfig(n_queries=n, seed=seed))
-    reports = [complexity_score(cq(r.query_text)) for r in recs]
-    return recs, reports
+    cleaned = [cq(r.query_text) for r in recs]
+    return recs, [complexity_score(q) for q in cleaned], cleaned
 
 
 def test_fit_transform_consistency():
-    recs, reports = make_records()
+    recs, reports, cleaned = make_records()
     fz = Featurizer(FeaturizerConfig(svd_components=16))
-    fitted = fz.fit_transform(recs, reports)
-    again = fz.transform(recs, reports)
+    fitted = fz.fit_transform(recs, reports, cleaned)
+    again = fz.transform(recs, reports, cleaned)
     assert fitted.column_names == again.column_names
     assert np.max(np.abs(fitted.rows - again.rows)) <= 1e-12
 
 
 def test_transform_before_fit_raises():
-    recs, reports = make_records(5)
+    recs, reports, cleaned = make_records(5)
     with pytest.raises(StateNotFitted):
-        Featurizer().transform(recs, reports)
+        Featurizer().transform(recs, reports, cleaned)
 
 
 def test_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
-        Featurizer().fit_transform([], [])
+        Featurizer().fit_transform([], [], [])
 
 
 def test_record_report_and_cleaned_lengths_must_agree():
-    recs, reports = make_records(6)
-    cleaned = [cq(r.query_text) for r in recs]
+    recs, reports, cleaned = make_records(6)
     with pytest.raises(LengthMismatch):
         Featurizer().fit_transform(recs, reports, cleaned[:5])
     fz = Featurizer(FeaturizerConfig(svd_components=4))
@@ -335,59 +335,60 @@ def test_record_report_and_cleaned_lengths_must_agree():
     with pytest.raises(LengthMismatch):  # a short cleaned list
         fz.transform(recs[:2], reports[:2], cleaned[:1])
     with pytest.raises(LengthMismatch):
-        fz.transform(recs[:2], reports[:3])
+        fz.transform(recs[:2], reports[:3], cleaned[:2])
 
 
 def test_column_count_stable_and_finite():
-    recs, reports = make_records(50, seed=2)
+    recs, reports, cleaned = make_records(50, seed=2)
     fz = Featurizer(FeaturizerConfig(svd_components=8))
-    m = fz.fit_transform(recs[:40], reports[:40])
-    t = fz.transform(recs[40:], reports[40:])
+    m = fz.fit_transform(recs[:40], reports[:40], cleaned[:40])
+    t = fz.transform(recs[40:], reports[40:], cleaned[40:])
     assert m.rows.shape[1] == t.rows.shape[1] == len(m.column_names)
     assert np.all(np.isfinite(t.rows))
 
 
 def test_identical_records_identical_rows():
-    recs, reports = make_records(30, seed=3)
+    recs, reports, cleaned = make_records(30, seed=3)
     dup = [recs[0], recs[0]] + recs[1:]
     dup_reports = [reports[0], reports[0]] + reports[1:]
+    dup_cleaned = [cleaned[0], cleaned[0]] + cleaned[1:]
     fz = Featurizer(FeaturizerConfig(svd_components=8))
-    m = fz.fit_transform(dup, dup_reports)
+    m = fz.fit_transform(dup, dup_reports, dup_cleaned)
     assert np.array_equal(m.rows[0], m.rows[1])
 
 
 def test_zero_bytes_gives_zero_vol_column():
-    recs, reports = make_records(30, seed=4)
+    recs, reports, cleaned = make_records(30, seed=4)
     recs[0].total_bytes_processed = 0
     recs[0].total_bytes_billed = 0
     fz = Featurizer(FeaturizerConfig(svd_components=4))
-    m = fz.fit_transform(recs, reports)
+    m = fz.fit_transform(recs, reports, cleaned)
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["vol_log1p_bytes_processed"]] == 0.0
     assert m.rows[0, cols["vol_log1p_bytes_billed"]] == 0.0
 
 
 def test_zero_account_count_guarded_division():
-    recs, reports = make_records(30, seed=5)
+    recs, reports, cleaned = make_records(30, seed=5)
     recs[0].account_count = 0
     recs[0].resource_count = 0
     fz = Featurizer(FeaturizerConfig(svd_components=4))
-    m = fz.fit_transform(recs, reports)
+    m = fz.fit_transform(recs, reports, cleaned)
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["vol_log1p_bytes_per_account"]] == 0.0
     assert m.rows[0, cols["vol_log1p_bytes_per_resource"]] == 0.0
 
 
 def test_missing_bytes_billed_imputed_with_median_and_flagged():
-    recs, reports = make_records(31, seed=6)
+    recs, reports, cleaned = make_records(31, seed=6)
     fz = Featurizer(FeaturizerConfig(svd_components=4))
-    fz.fit_transform(recs, reports)
+    fz.fit_transform(recs, reports, cleaned)
     median = float(np.median([r.total_bytes_billed for r in recs]))
     assert fz.impute_medians["total_bytes_billed"] == median
 
     probe = recs[0]
     probe.total_bytes_billed = None
-    m = fz.transform([probe], [reports[0]])
+    m = fz.transform([probe], [reports[0]], [cleaned[0]])
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["miss_total_bytes_billed"]] == 1.0
     assert m.rows[0, cols["vol_log1p_bytes_billed"]] == pytest.approx(
@@ -395,20 +396,20 @@ def test_missing_bytes_billed_imputed_with_median_and_flagged():
 
 
 def test_unseen_category_maps_to_other():
-    recs, reports = make_records(30, seed=7)
+    recs, reports, cleaned = make_records(30, seed=7)
     fz = Featurizer(FeaturizerConfig(svd_components=4))
-    fz.fit_transform(recs, reports)
+    fz.fit_transform(recs, reports, cleaned)
     probe = recs[0]
     probe.asset_type = "never-seen-before"
-    m = fz.transform([probe], [reports[0]])
+    m = fz.transform([probe], [reports[0]], [cleaned[0]])
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["cat_asset_type___OTHER__"]] == 1.0
 
 
 def test_one_hot_blocks_are_valid():
-    recs, reports = make_records(60, seed=8)
+    recs, reports, cleaned = make_records(60, seed=8)
     fz = Featurizer(FeaturizerConfig(svd_components=4))
-    m = fz.fit_transform(recs, reports)
+    m = fz.fit_transform(recs, reports, cleaned)
     for field in ("asset_type", "region"):
         idx = [i for i, n in enumerate(m.column_names)
                if n.startswith(f"cat_{field}_")]
@@ -418,12 +419,12 @@ def test_one_hot_blocks_are_valid():
 
 
 def test_no_leakage_transform_does_not_mutate_state():
-    recs, reports = make_records(50, seed=9)
+    recs, reports, cleaned = make_records(50, seed=9)
     fz = Featurizer(FeaturizerConfig(svd_components=8))
-    fz.fit_transform(recs[:40], reports[:40])
+    fz.fit_transform(recs[:40], reports[:40], cleaned[:40])
     before = (dict(fz.impute_medians), list(fz.column_names),
               fz.num_mean.copy(), fz.num_std.copy())
-    fz.transform(recs[40:], reports[40:])
+    fz.transform(recs[40:], reports[40:], cleaned[40:])
     assert fz.impute_medians == before[0]
     assert fz.column_names == before[1]
     assert np.array_equal(fz.num_mean, before[2])
@@ -431,13 +432,13 @@ def test_no_leakage_transform_does_not_mutate_state():
 
 
 def test_state_roundtrip_bit_exact_transform():
-    recs, reports = make_records(40, seed=10)
+    recs, reports, cleaned = make_records(40, seed=10)
     fz = Featurizer(FeaturizerConfig(svd_components=8))
-    fz.fit_transform(recs, reports)
+    fz.fit_transform(recs, reports, cleaned)
     meta, arrays = fz.get_state()
     fz2 = Featurizer.from_state(meta, arrays)
-    m1 = fz.transform(recs, reports)
-    m2 = fz2.transform(recs, reports)
+    m1 = fz.transform(recs, reports, cleaned)
+    m2 = fz2.transform(recs, reports, cleaned)
     assert np.array_equal(m1.rows, m2.rows)
 
 
@@ -455,9 +456,9 @@ def test_config_out_of_range_rejected(field, value):
         FeaturizerConfig(**{field: value})
     cfg = FeaturizerConfig()
     setattr(cfg, field, value)
-    recs, reports = make_records(5)
+    recs, reports, cleaned = make_records(5)
     with pytest.raises(ConfigError, match=f"featurizer.{field}"):
-        Featurizer(cfg).fit_transform(recs, reports)
+        Featurizer(cfg).fit_transform(recs, reports, cleaned)
 
 
 def test_config_range_edges_accepted():
@@ -467,12 +468,14 @@ def test_config_range_edges_accepted():
 
 
 def test_config_from_dict_requires_every_field():
-    full = FeaturizerConfig().to_dict()
-    assert FeaturizerConfig.from_dict(full) == FeaturizerConfig()
+    full = to_dict(FeaturizerConfig())
+    assert from_dict(FeaturizerConfig, full) == FeaturizerConfig()
     for name in full:
         partial = {k: v for k, v in full.items() if k != name}
         with pytest.raises(ConfigError, match=name):
-            FeaturizerConfig.from_dict(partial)
+            from_dict(FeaturizerConfig, partial)
+    with pytest.raises(ConfigError, match="unknown cache"):
+        from_dict(FeaturizerConfig, {**full, "cache": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +486,12 @@ def test_config_from_dict_requires_every_field():
 def fitted_featurizers():
     """(a featurizer with a 16-wide text basis, one with k = 0, the pool of
     records both were fit on)."""
-    recs, reports = make_records(80, seed=11)
+    recs, reports, cleaned = make_records(80, seed=11)
     fz = Featurizer(FeaturizerConfig(svd_components=16, top_n_categories=3))
-    fz.fit_transform(recs[:60], reports[:60])
+    fz.fit_transform(recs[:60], reports[:60], cleaned[:60])
     flat = Featurizer(FeaturizerConfig(svd_components=16))
-    flat.fit_transform(recs[:1], reports[:1])  # one record: no text subspace
+    # one record: no text subspace
+    flat.fit_transform(recs[:1], reports[:1], cleaned[:1])
     assert fz.svd_basis.k == 16 and flat.svd_basis.k == 0
     return fz, flat, recs
 
@@ -578,10 +582,11 @@ def test_transform_text_batch_matches_per_row_oracle():
 def pinned_corpus_matrices(fz, fit=True):
     """The fit and held-out feature matrices of the pinned synth corpus
     (fit: fit fz on the first 160 records first)."""
-    recs, reports = make_records(240, seed=17)
+    recs, reports, cleaned = make_records(240, seed=17)
     fit_rows = (fz.fit_transform if fit else fz.transform)(
-        recs[:160], reports[:160]).rows
-    return fit_rows, fz.transform(recs[160:], reports[160:]).rows
+        recs[:160], reports[:160], cleaned[:160]).rows
+    return fit_rows, fz.transform(
+        recs[160:], reports[160:], cleaned[160:]).rows
 
 
 def test_feature_matrix_fingerprint_pinned():
@@ -601,7 +606,7 @@ def test_exact_basis_matches_randomized_oracle_on_pinned_corpus():
     agree within 1e-10 and every other column is the same bytes."""
     fz = Featurizer(FeaturizerConfig(svd_components=24))
     exact = pinned_corpus_matrices(fz)
-    recs, _ = make_records(240, seed=17)
+    recs, _, _ = make_records(240, seed=17)
     tfidf = transform_text_corpus(
         fz.text_state, [cq(r.query_text) for r in recs[:160]])
     fz.svd_basis = randomized_fit_svd(tfidf, 24)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from naive_oracles import naive_bin_row, naive_fit, naive_forest_predict
 from slotcast import gbrt
+from slotcast.config import from_dict, to_dict
 from slotcast.errors import (ConfigError, CorruptBundle, DimensionMismatch,
                              NonFiniteTarget, TooFewSamples)
 from slotcast.gbrt import (BinMapper, Forest, GBRTConfig, HistLayout,
@@ -398,7 +399,7 @@ def test_config_range_edges_accepted():
         max_bins=256, iterations=1, max_leaves=2, min_samples_leaf=1,
         l2=0.0, learning_rate=1e-9, seed=0, binning_sample=0))
     assert forest.n_trees == 1
-    assert GBRTConfig.from_dict(forest.config.to_dict()) == forest.config
+    assert from_dict(GBRTConfig, to_dict(forest.config)) == forest.config
     assert GBRTConfig(iterations=gbrt.MAX_ITERATIONS).iterations == 10**6
     assert GBRTConfig(max_leaves=gbrt.MAX_LEAVES).max_leaves == 64
 

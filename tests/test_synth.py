@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slotcast.errors import InvalidConfig, OverlappingEnvironments
+from slotcast.errors import ConfigError, OverlappingEnvironments
 from slotcast.sql_analyzer import analyze_sql
 from slotcast.synth import (
     OperatorPlan,
@@ -122,15 +122,15 @@ def test_environment_fields_within_profile():
 
 
 def test_invalid_configs():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         generate(WorkloadConfig(trivial_fraction=1.2))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         generate(WorkloadConfig(trivial_fraction=0.8, long_tail_fraction=0.3))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         generate(WorkloadConfig(n_queries=-1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         generate(WorkloadConfig(noise_sigma=-0.1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError):
         generate(WorkloadConfig(profiles=[]))
 
 
