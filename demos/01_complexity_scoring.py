@@ -23,7 +23,7 @@ ORDER BY n DESC
 def main():
     cleaned = clean_query(QUERY)
     print("normalized text:")
-    print(" ", cleaned.text[:120], "...")
+    print(" ", " ".join(cleaned.tokens)[:120], "...")
     print()
 
     report = analyze_sql(QUERY)

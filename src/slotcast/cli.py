@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,10 +63,10 @@ class IngestStats:
 def _is_trivial_ddl(query_text: str) -> bool:
     """DDL-only statements: first keyword in CREATE/ALTER/DROP and no
     embedded SELECT (CTAS-style statements are kept)."""
-    values = clean_query(query_text).values
-    if not values or values[0] not in _DDL_KEYWORDS:
+    tokens = clean_query(query_text).tokens
+    if not tokens or tokens[0] not in _DDL_KEYWORDS:
         return False
-    return "SELECT" not in values
+    return "SELECT" not in tokens
 
 
 def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]:
@@ -276,6 +277,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="slotcast",
                      description="Pre-execution query slot-time prediction")
@@ -307,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advise", help="pre-submission cost advisory")
     p.add_argument("--bundle", required=True)
     p.add_argument("--query-file", required=True)
-    p.add_argument("--warn-threshold", type=float, required=True)
+    p.add_argument("--warn-threshold", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_advise)
 
     p = sub.add_parser("evaluate", help="tiered evaluation against baselines")

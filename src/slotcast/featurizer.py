@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from .config import check, from_dict, setting, to_dict
 from .errors import (
+    CorruptBundle,
     DegenerateInput,
     DimensionMismatch,
     EmptyCorpus,
@@ -44,8 +45,8 @@ class TextVectorizerState:
 
 def _terms(q: CleanedQuery) -> List[str]:
     """Unigrams, then bigrams joined by a space (tokens hold no spaces)."""
-    vals = q.values
-    return [*vals, *map(" ".join, zip(vals, vals[1:]))]
+    toks = q.tokens
+    return [*toks, *map(" ".join, zip(toks, toks[1:]))]
 
 
 def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
@@ -312,8 +313,12 @@ class Featurizer:
         block[:, offset + 3] = [bool(r.cache_hit) for r in records]
         return block
 
-    def _cat_names(self) -> List[str]:
-        names: List[str] = []
+    def _column_names(self) -> List[str]:
+        names = [f"text_svd_{i}" for i in range(self.svd_basis.k)]
+        names += self._numeric_names()
+        names += ["vol_log1p_bytes_processed", "vol_log1p_bytes_billed",
+                  "vol_log1p_bytes_per_account", "vol_log1p_bytes_per_resource"]
+        names += [f"miss_{f}" for f in _OPTIONAL_FIELDS]
         for f in _CATEGORICAL_FIELDS:
             for c in self.category_maps[f]:
                 names.append(f"cat_{f}_{c or '<empty>'}")
@@ -372,14 +377,7 @@ class Featurizer:
         std[std <= 0] = 1.0
         self.num_std = std
 
-        self.column_names = (
-            [f"text_svd_{i}" for i in range(self.svd_basis.k)]
-            + self._numeric_names()
-            + ["vol_log1p_bytes_processed", "vol_log1p_bytes_billed",
-               "vol_log1p_bytes_per_account", "vol_log1p_bytes_per_resource"]
-            + [f"miss_{f}" for f in _OPTIONAL_FIELDS]
-            + self._cat_names()
-        )
+        self.column_names = self._column_names()
         self._fitted = True
         return self.transform(records, reports, cleaned)
 
@@ -426,6 +424,11 @@ class Featurizer:
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Featurizer":
+        """Inverse of get_state. Raises CorruptBundle unless the state can
+        transform a record: the medians and category maps cover exactly
+        their fields, the vocabulary, idf and SVD basis agree on size, the
+        scaling arrays fit the numeric block and the column names are the
+        ones this state lays out."""
         fz = cls(from_dict(FeaturizerConfig, meta["config"]))
         vocab = {t: i for i, t in enumerate(meta["vocabulary"])}
         fz.text_state = TextVectorizerState(
@@ -443,4 +446,15 @@ class Featurizer:
         fz.num_std = arrays["num_std"]
         fz.column_names = list(meta["column_names"])
         fz._fitted = True
+        text, basis = fz.text_state, fz.svd_basis
+        n_num = len(fz._numeric_names())
+        if not (set(fz.impute_medians) == set(_OPTIONAL_FIELDS)
+                and set(fz.category_maps) == set(_CATEGORICAL_FIELDS)
+                and text.doc_freq.shape == text.idf.shape == (text.size,)
+                and basis.components.ndim == 2
+                and basis.components.shape[1] == text.size
+                and basis.singular_values.shape == (basis.k,)
+                and fz.num_mean.shape == fz.num_std.shape == (n_num,)
+                and fz.column_names == fz._column_names()):
+            raise CorruptBundle("featurizer: state arrays and names disagree")
         return fz

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
@@ -40,6 +41,7 @@ _HEADER_KEYS = {"format_version", "router", "metadata", "featurizer",
 ROUTE_SIMPLE = "simple"
 ROUTE_COMPLEX = "complex"
 ROUTE_UNIFIED = "unified"
+_ROUTES = {ROUTE_SIMPLE, ROUTE_COMPLEX, ROUTE_UNIFIED}
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,18 @@ def _bundle_from_header(header: dict, payload: memoryview,
             chunk, dtype=dtype).reshape(spec["shape"]).copy()
         offset += nbytes
 
+    metadata = header["metadata"]
+    for key in ("train_target_mean", "train_target_median"):
+        value = metadata.get(key)
+        # the bounds also reject NaN and an int too large to become a float
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not -sys.float_info.max <= value <= sys.float_info.max):
+            raise CorruptBundle(f"metadata: {key} is not a finite number")
+    routes = set(header["forests"])
+    if not (routes <= _ROUTES and (ROUTE_UNIFIED in routes
+                                   or {ROUTE_SIMPLE, ROUTE_COMPLEX} <= routes)):
+        raise CorruptBundle(f"forests {sorted(routes)} cannot serve every "
+                            "route")
     featurizer = Featurizer.from_state(
         header["featurizer"],
         {k[len("fz."):]: v for k, v in arrays.items() if k.startswith("fz.")})
@@ -292,10 +306,12 @@ def _bundle_from_header(header: dict, payload: memoryview,
         forests[route] = Forest.from_state(
             meta, {k[len(prefix):]: v for k, v in arrays.items()
                    if k.startswith(prefix)})
+        if forests[route].n_features != len(featurizer.column_names):
+            raise CorruptBundle(f"forest {route} and featurizer disagree on "
+                                "the feature width")
     return ModelBundle(format_version=version, featurizer=featurizer,
                        router=from_dict(Router, header["router"]),
-                       forests=forests,
-                       metadata=header["metadata"])
+                       forests=forests, metadata=metadata)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 # Operator kinds, in a fixed reporting order.
 OPERATOR_KINDS: Tuple[str, ...] = (
@@ -73,66 +73,12 @@ DEFAULT_WEIGHTS: Dict[str, int] = {
     "having": 1,
 }
 
-PLACEHOLDERS = frozenset({"TABLE", "STR", "NUM"})
 
-KEYWORDS = frozenset({
-    "SELECT", "FROM", "WHERE", "JOIN", "CROSS", "INNER", "LEFT", "RIGHT",
-    "FULL", "OUTER", "ON", "GROUP", "ORDER", "BY", "HAVING", "DISTINCT",
-    "OVER", "PARTITION", "AND", "OR", "NOT", "IN", "AS", "WITH", "UNNEST",
-    "ARRAY", "STRUCT", "MERGE", "UPDATE", "INSERT", "INTO", "SET", "VALUES",
-    "CREATE", "ALTER", "DROP", "TEMP", "TEMPORARY", "FUNCTION", "RETURNS",
-    "LANGUAGE", "JS", "USING", "WHEN", "MATCHED", "THEN", "CASE", "ELSE",
-    "END", "UNION", "ALL", "LIMIT", "OFFSET", "BETWEEN", "LIKE", "IS",
-    "NULL", "TRUE", "FALSE", "EXISTS", "TABLE", "DELETE", "WINDOW",
-    "RECURSIVE", "IF",
-})
-
-
-class Token(NamedTuple):
-    value: str
-    kind: str  # keyword | identifier | placeholder | punctuation
-
-
+@dataclass(frozen=True, slots=True)
 class CleanedQuery:
-    """A cleaned query as its token values. ``text`` (the values joined by
-    single spaces) and ``tokens`` (each value with its kind) are built on
-    first access unless given: scoring and featurizing read only
-    ``values``. Equal when text and tokens are equal."""
+    """A cleaned query as its token strings, in order."""
 
-    __slots__ = ("values", "_text", "_tokens")
-
-    def __init__(self, text: Optional[str] = None,
-                 tokens: Optional[Tuple[Token, ...]] = None,
-                 values: Optional[Tuple[str, ...]] = None) -> None:
-        self._text = text
-        self._tokens = None if tokens is None else tuple(tokens)
-        self.values = (tuple(t.value for t in tokens) if values is None
-                       else values)
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._text = " ".join(self.values)
-        return self._text
-
-    @property
-    def tokens(self) -> Tuple[Token, ...]:
-        if self._tokens is None:
-            # one Token per distinct value: keywords and punctuation repeat
-            token = {v: Token(v, _classify(v)) for v in set(self.values)}
-            self._tokens = tuple(map(token.__getitem__, self.values))
-        return self._tokens
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CleanedQuery):
-            return NotImplemented
-        return (self.text, self.tokens) == (other.text, other.tokens)
-
-    def __hash__(self) -> int:
-        return hash((self.text, self.tokens))
-
-    def __repr__(self) -> str:
-        return f"CleanedQuery(text={self.text!r}, tokens={self.tokens!r})"
+    tokens: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -148,20 +94,6 @@ _SINGLE_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'")
 _DOUBLE_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 _NUMBER = re.compile(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b")
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]")
-# _TOKEN yields whole identifiers or single other characters, so a token's
-# first character tells the two apart
-_IDENTIFIER_START = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-
-
-def _classify(value: str) -> str:
-    if value in PLACEHOLDERS:
-        return "placeholder"
-    if value in KEYWORDS:
-        return "keyword"
-    if value[0] in _IDENTIFIER_START:
-        return "identifier"
-    return "punctuation"
 
 
 def clean_query(raw_sql: str) -> CleanedQuery:
@@ -176,7 +108,7 @@ def clean_query(raw_sql: str) -> CleanedQuery:
     text = _DOUBLE_QUOTED.sub(" STR ", text)
     text = _NUMBER.sub(" NUM ", text)
     text = text.upper()
-    return CleanedQuery(values=tuple(_TOKEN.findall(text)))
+    return CleanedQuery(tuple(_TOKEN.findall(text)))
 
 
 def _count_with_bindings(toks: Tuple[str, ...], start: int) -> int:
@@ -229,7 +161,7 @@ _OPERATOR_TRIGGERS = frozenset({
 
 def count_operators(q: CleanedQuery) -> Dict[str, int]:
     """Lexically count Table-weight operator occurrences in a cleaned query."""
-    toks = q.values
+    toks = q.tokens
     counts = {k: 0 for k in OPERATOR_KINDS}
     n = len(toks)
     # most tokens are identifiers or punctuation that match no branch: find

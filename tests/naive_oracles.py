@@ -348,7 +348,7 @@ def randomized_fit_svd(tfidf_rows, k: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _naive_terms(q):
-    vals = list(q.values)
+    vals = list(q.tokens)
     terms = list(vals)
     terms.extend(f"{a} {b}" for a, b in zip(vals, vals[1:]))
     return terms
@@ -453,12 +453,12 @@ def naive_feature_rows(fz, records, reports, cleaned):
 
 
 # ---------------------------------------------------------------------------
-# Query cleaning with a regex per token class
+# Query cleaning written out with re module calls
 # ---------------------------------------------------------------------------
 
-def regex_clean_query(raw_sql, placeholders, keywords):
-    """(text, ((value, kind), ...)) as clean_query computed them when it
-    classified every token with re.fullmatch."""
+def regex_clean_query(raw_sql):
+    """(text, tokens) for raw SQL: every substitution and the tokenizer
+    written out with re module calls."""
     text = re.sub(r"/\*.*?\*/", " ", raw_sql, flags=re.S)
     text = re.sub(r"--[^\n]*", " ", text)
     text = re.sub(r"`[^`]*`", " TABLE ", text)
@@ -466,18 +466,8 @@ def regex_clean_query(raw_sql, placeholders, keywords):
     text = re.sub(r'"(?:[^"\\]|\\.)*"', " STR ", text)
     text = re.sub(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b", " NUM ", text)
     text = text.upper()
-    values = re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]", text)
-
-    def classify(value):
-        if value in placeholders:
-            return "placeholder"
-        if value in keywords:
-            return "keyword"
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", value):
-            return "identifier"
-        return "punctuation"
-
-    return " ".join(values), tuple((v, classify(v)) for v in values)
+    tokens = tuple(re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]", text))
+    return " ".join(tokens), tokens
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +479,7 @@ def chain_count_operators(q):
     branch: every token walks the whole elif chain."""
     from slotcast.sql_analyzer import (OPERATOR_KINDS, _classify_udf,
                                        _count_with_bindings)
-    toks = q.values
+    toks = q.tokens
     counts = {k: 0 for k in OPERATOR_KINDS}
     n = len(toks)
     for i, t in enumerate(toks):

@@ -117,7 +117,7 @@ def test_criterion_2_weight_table_fidelity(capsys):
             sql, _ = render_query(_plan_for(rng, kind))
             cleaned = clean_query(sql)
             counts = count_operators(cleaned)
-            assert counts == naive_operator_counts(cleaned.text)
+            assert counts == naive_operator_counts(" ".join(cleaned.tokens))
             assert complexity_score(cleaned).score == sum(
                 counts[k] * weights[k] for k in counts)
         assert time.perf_counter() - t0 < 5.0
@@ -129,7 +129,7 @@ def test_criterion_3_tfidf_svd_oracle(capsys):
         corpus = [clean_query(sql) for sql, _, _ in GOLDEN]
         state = fit_text(corpus, min_df=2, max_vocab=50_000)
         matrix = transform_text_corpus(state, corpus)
-        terms, naive_rows = naive_tfidf([list(q.values) for q in corpus],
+        terms, naive_rows = naive_tfidf([list(q.tokens) for q in corpus],
                                         min_df=2, max_vocab=50_000)
         assert sorted(state.vocabulary) == terms
         for i, weights in enumerate(naive_rows):

@@ -427,6 +427,19 @@ def test_advise_exceeds_threshold(trained, tmp_path, capsys):
     assert "WARNING" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_advise_rejects_non_finite_threshold(trained, tmp_path, capsys,
+                                             threshold):
+    _, _, bundle = trained
+    qf = tmp_path / "q.sql"
+    qf.write_text("SELECT A FROM `p.d.t`", encoding="utf-8")
+    assert main(["advise", "--bundle", str(bundle), "--query-file", str(qf),
+                 f"--warn-threshold={threshold}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--warn-threshold" in captured.err
+
+
 def test_evaluate_writes_reports(trained, tmp_path):
     _, data, bundle = trained
     outdir = tmp_path / "reports"
@@ -502,6 +515,15 @@ def _drop(key):
     return lambda header: header.pop(key)
 
 
+def _rename_route(old, new):
+    def edit(header):
+        header["forests"][new] = header["forests"].pop(old)
+        for spec in header["arrays"]:
+            spec["name"] = spec["name"].replace(f"forest.{old}.",
+                                                f"forest.{new}.")
+    return edit
+
+
 def _forest_config(field, value):
     def edit(header):
         for meta in header["forests"].values():
@@ -527,6 +549,20 @@ def _forest_config(field, value):
     lambda h: h["featurizer"]["config"].update(svd_components=-5),
     lambda h: h["featurizer"]["config"].update(top_n_categories=-1),
     lambda h: h["featurizer"]["config"].update(cache=1),
+    lambda h: h["featurizer"].update(impute_medians={}),
+    lambda h: h["featurizer"]["category_maps"].pop("region"),
+    lambda h: h["featurizer"]["asset_count_keys"].append("extra"),
+    lambda h: h["featurizer"].update(
+        vocabulary=h["featurizer"]["vocabulary"][5:]),
+    lambda h: h["featurizer"].update(
+        column_names=h["featurizer"]["column_names"][3:]),
+    lambda h: h["forests"].pop("complex"),
+    _rename_route("complex", "spare"),
+    lambda h: h["metadata"].pop("train_target_mean"),
+    lambda h: h["metadata"].pop("train_target_median"),
+    lambda h: h["metadata"].update(train_target_mean=float("nan")),
+    lambda h: h["metadata"].update(train_target_median="3.5"),
+    lambda h: h["metadata"].update(train_target_mean=10**400),
 ], ids=["no-format_version", "no-router", "no-metadata", "no-featurizer",
         "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
         "router-threshold-string",
@@ -537,7 +573,14 @@ def _forest_config(field, value):
         "config-missing-key", "featurizer-config-empty",
         "featurizer-config-negative-svd_components",
         "featurizer-config-negative-top_n_categories",
-        "featurizer-config-unknown-key"])
+        "featurizer-config-unknown-key",
+        "featurizer-impute_medians-empty", "featurizer-category_maps-no-region",
+        "featurizer-extra-asset-count-key", "featurizer-vocabulary-short",
+        "featurizer-column_names-short", "forests-no-complex",
+        "forests-unknown-route", "metadata-no-train_target_mean",
+        "metadata-no-train_target_median", "metadata-train_target_mean-nan",
+        "metadata-train_target_median-string",
+        "metadata-train_target_mean-beyond-float"])
 def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):
     _, data, bundle = trained
     bad = tmp_path / "bad.sltb"

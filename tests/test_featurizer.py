@@ -114,7 +114,7 @@ def test_tfidf_matches_naive_oracle():
     ]
     cleaned = [cq(d) for d in docs]
     state = fit_text(cleaned, min_df=2, max_vocab=1000)
-    terms, naive_rows = naive_tfidf([list(c.values) for c in cleaned],
+    terms, naive_rows = naive_tfidf([list(c.tokens) for c in cleaned],
                                     min_df=2, max_vocab=1000)
     assert terms == sorted(state.vocabulary, key=state.vocabulary.get)
     for c, expected in zip(cleaned, naive_rows):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from slotcast import predictor, sql_analyzer
+from slotcast import gbrt, predictor
 from slotcast.errors import (
     BundleVersionMismatch,
     CorruptBundle,
@@ -155,19 +155,6 @@ def test_predict_many_matches_predict(bundle, workload):
     assert predict_many(bundle, []) == []
 
 
-def test_scoring_builds_no_token_objects(bundle, workload, monkeypatch):
-    records = workload[:30]
-    singles = [predict(bundle, r) for r in records]
-    batch = predict_many(bundle, records)
-
-    def no_tokens(*args):
-        raise AssertionError("a Token was built while scoring")
-
-    monkeypatch.setattr(sql_analyzer, "Token", no_tokens)
-    assert [predict(bundle, r) for r in records] == singles
-    assert predict_many(bundle, records) == batch
-
-
 def test_metadata_train_constants(bundle, workload):
     actual = np.array([r.slot_min for r in workload])
     assert bundle.metadata["train_target_mean"] == pytest.approx(
@@ -302,6 +289,17 @@ def test_resigned_bundle_with_unreachable_node_rejected(bundle):
                    cut_below)
     with pytest.raises(CorruptBundle, match="not trees"):
         deserialize_bundle(cut)
+
+
+def test_forest_of_another_width_rejected(bundle):
+    width = len(bundle.featurizer.column_names)
+    rng = np.random.default_rng(0)
+    narrow = gbrt.fit(rng.normal(size=(40, width - 1)), rng.normal(size=40),
+                      GBRTConfig(iterations=2, min_samples_leaf=5))
+    odd = dataclasses.replace(bundle,
+                              forests={**bundle.forests, ROUTE_SIMPLE: narrow})
+    with pytest.raises(CorruptBundle, match="feature width"):
+        deserialize_bundle(serialize_bundle(odd))
 
 
 def test_retrain_byte_identical(workload, small_train_config):

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from slotcast.sql_analyzer import (
     DEFAULT_WEIGHTS,
-    KEYWORDS,
     OPERATOR_KINDS,
-    PLACEHOLDERS,
     CleanedQuery,
     analyze_sql,
     clean_query,
@@ -33,17 +31,16 @@ def counts_of(**kwargs):
 
 def test_clean_golden_placeholders():
     q = clean_query("select a from `proj.ds.t` where x = 'foo'")
-    assert q.text == "SELECT A FROM TABLE WHERE X = STR"
+    assert q.tokens == ("SELECT", "A", "FROM", "TABLE", "WHERE", "X", "=",
+                        "STR")
 
 
 def test_clean_empty():
-    q = clean_query("")
-    assert q.text == ""
-    assert q.tokens == ()
+    assert clean_query("").tokens == ()
 
 
 def test_clean_whitespace_and_numbers():
-    assert clean_query("SELECT   1").text == "SELECT NUM"
+    assert clean_query("SELECT   1").tokens == ("SELECT", "NUM")
 
 
 def test_clean_idempotent():
@@ -56,9 +53,7 @@ def test_clean_idempotent():
     ]
     for s in samples:
         once = clean_query(s)
-        twice = clean_query(once.text)
-        assert once.text == twice.text
-        assert once.tokens == twice.tokens
+        assert clean_query(" ".join(once.tokens)) == once
 
 
 def test_clean_strips_comments():
@@ -66,23 +61,22 @@ def test_clean_strips_comments():
     assert count_operators(q) == counts_of()
 
 
-def test_token_kinds():
-    q = clean_query("select a from `p.d.t` where x = 'v'")
-    kinds = {t.value: t.kind for t in q.tokens}
-    assert kinds["SELECT"] == "keyword"
-    assert kinds["A"] == "identifier"
-    assert kinds["TABLE"] == "placeholder"
-    assert kinds["STR"] == "placeholder"
-    assert kinds["="] == "punctuation"
-
+# SQL words the counter and the synthesizer use, plus the placeholders
+SQL_WORDS = (
+    "SELECT", "FROM", "WHERE", "JOIN", "CROSS", "LEFT", "ON", "GROUP",
+    "ORDER", "BY", "HAVING", "DISTINCT", "OVER", "PARTITION", "AND", "AS",
+    "WITH", "RECURSIVE", "UNNEST", "ARRAY", "STRUCT", "MERGE", "UPDATE",
+    "INSERT", "INTO", "SET", "CREATE", "ALTER", "DROP", "TEMP", "TEMPORARY",
+    "FUNCTION", "RETURNS", "LANGUAGE", "JS", "TABLE", "STR", "NUM",
+)
 
 sql_like_text = st.one_of(
     st.text(max_size=80),
     st.lists(st.sampled_from(
-        sorted(KEYWORDS) + sorted(PLACEHOLDERS) + [
+        SQL_WORDS + (
             "a", "_x1", "t.col", "9e3", "1.5", "'s'", '"q"', "`p.d.t`",
             "(", ")", ",", ";", "*", "--c\n", "/* c */", "\u00e9", "\u00df",
-            "\t", "regexp_contains", "\u0131d"]),
+            "\t", "regexp_contains", "\u0131d")),
         max_size=30).map(" ".join))
 
 
@@ -90,11 +84,11 @@ sql_like_text = st.one_of(
 @given(sql_like_text)
 def test_clean_query_matches_regex_classifier(raw):
     q = clean_query(raw)
-    text, tokens = regex_clean_query(raw, PLACEHOLDERS, KEYWORDS)
-    assert q.text == text
-    assert tuple(q.tokens) == tokens
-    assert q.values == tuple(v for v, _ in tokens)
-    assert q == CleanedQuery(text=q.text, tokens=q.tokens)
+    text, tokens = regex_clean_query(raw)
+    assert q.tokens == tokens
+    assert " ".join(q.tokens) == text
+    assert q == CleanedQuery(tokens)
+    assert hash(q) == hash(CleanedQuery(tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +246,7 @@ def test_randomized_plans_match_naive_recount():
         cleaned = clean_query(sql)
         got = count_operators(cleaned)
         assert got == intended
-        assert got == naive_operator_counts(cleaned.text)
+        assert got == naive_operator_counts(" ".join(cleaned.tokens))
         rep = complexity_score(cleaned)
         assert rep.score == sum(got[k] * weights[k] for k in got)
 
