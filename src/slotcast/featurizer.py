@@ -6,6 +6,7 @@ fitted state.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -71,11 +72,16 @@ def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
                                idf=idf, n_docs=n)
 
 
+# scipy's CSR triple (data, indices, indptr), with no matrix object: row i
+# holds columns indices[indptr[i]:indptr[i+1]] with those positions' data
+TextRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def transform_text(state: TextVectorizerState,
-                   corpus: Sequence[CleanedQuery]) -> sp.csr_matrix:
-    """One row per query: raw-count tf x idf, L2-normalized.
-    Out-of-vocabulary terms are ignored; a query without a known term gives
-    an empty row."""
+                   corpus: Sequence[CleanedQuery]) -> TextRows:
+    """One row per query, its columns strictly increasing: raw-count tf x
+    idf, divided by the L2 norm of that row alone. Out-of-vocabulary terms
+    are ignored; a query without a known term gives an empty row."""
     lookup = state.vocabulary.get
     indptr = [0]
     cols: List[int] = []
@@ -92,16 +98,18 @@ def transform_text(state: TextVectorizerState,
     sq = data * data
     for s, e in zip(indptr[:-1], indptr[1:]):
         # a pairwise sum over each row's own slice, as for a one-row matrix
-        norm = float(np.sqrt(np.sum(sq[s:e])))
+        norm = math.sqrt(sq[s:e].sum())
         if norm > 0:
             data[s:e] /= norm
-    return sp.csr_matrix((data, col_ids, np.array(indptr, dtype=np.int64)),
-                         shape=(len(indptr) - 1, state.size))
+    return data, col_ids, np.array(indptr, dtype=np.int64)
 
 
 def transform_text_corpus(state: TextVectorizerState,
                           corpus: Iterable[CleanedQuery]) -> sp.csr_matrix:
-    return transform_text(state, list(corpus))
+    """transform_text's rows as one (n, V) CSR matrix, fit_svd's input."""
+    corpus = list(corpus)
+    return sp.csr_matrix(transform_text(state, corpus),
+                         shape=(len(corpus), state.size))
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +161,25 @@ def fit_svd(tfidf_rows: sp.spmatrix, k: int) -> SvdBasis:
                     singular_values=np.ascontiguousarray(s))
 
 
-def project_text(basis: SvdBasis, m: sp.spmatrix | np.ndarray) -> np.ndarray:
-    """Project term-weight rows onto the SVD basis: row i of the (n, k)
-    result is ``components @ m[i]``, one matrix-vector product per row, so
-    a row's coordinates do not depend on the batch it came in."""
+def project_text(basis: SvdBasis, text: TextRows,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Project the rows onto the basis, into ``out`` (a new (n, k) array
+    when None): row i is ``components @ dense_i``, one product per row, so it
+    does not depend on the batch. A row's columns must be distinct; one
+    outside 0..V-1 raises DimensionMismatch."""
+    data, indices, indptr = text
     comps = basis.components
-    if not sp.issparse(m):
-        m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    if m.ndim != 2 or m.shape[1] != comps.shape[1]:
+    v = comps.shape[1]
+    if len(indices) and not 0 <= indices.min() <= indices.max() < v:
         raise DimensionMismatch(
-            f"row length {m.shape[-1]} != basis columns {comps.shape[1]}")
-    if not (sp.issparse(m) and m.format == "csr" and m.dtype == np.float64):
-        m = sp.csr_matrix(m, dtype=np.float64)
-    if not m.has_canonical_format:  # the scatter below needs unique columns
-        m = m.copy()
-        m.sum_duplicates()
-    out = np.empty((m.shape[0], comps.shape[0]))
-    dense = np.zeros(comps.shape[1])
-    indptr, indices, data = m.indptr, m.indices, m.data
-    for i in range(m.shape[0]):
-        cols = indices[indptr[i]:indptr[i + 1]]
-        dense[cols] = data[indptr[i]:indptr[i + 1]]
+            f"column index outside 0..{v - 1} for a basis of {v} columns")
+    bounds = np.asarray(indptr).tolist()
+    if out is None:
+        out = np.empty((len(bounds) - 1, comps.shape[0]))
+    dense = np.zeros(v)
+    for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        cols = indices[s:e]
+        dense[cols] = data[s:e]
         out[i] = comps @ dense
         dense[cols] = 0.0
     return out
@@ -225,14 +231,6 @@ def _top_categories(values: Iterable[str], top_n: int) -> List[str]:
     return ordered[:top_n]
 
 
-def _stack_columns(cols: Sequence[Sequence[float]], n: int) -> np.ndarray:
-    """An (n, len(cols)) float64 block whose column j is cols[j]."""
-    block = np.empty((n, len(cols)))
-    for j, col in enumerate(cols):
-        block[:, j] = col
-    return block
-
-
 def _check_lengths(records: Sequence[QueryRecord],
                    reports: Sequence[ComplexityReport],
                    cleaned: Sequence[CleanedQuery]) -> None:
@@ -259,69 +257,48 @@ class Featurizer:
         self.num_mean: Optional[np.ndarray] = None
         self.num_std: Optional[np.ndarray] = None
         self.column_names: List[str] = []
+        self._one_hot: List[Tuple[attrgetter, Dict[str, int], int]] = []
 
-    # -- raw (pre-scaling) blocks ------------------------------------------
+    # -- layout --------------------------------------------------------------
 
     def _numeric_names(self) -> List[str]:
-        names = ["num_complexity_score"]
-        names += [f"num_{f}" for f in _COUNT_FIELDS]
-        names += [f"num_asset_count_{k}" for k in self.asset_count_keys]
-        return names
+        return (["num_complexity_score"] + [f"num_{f}" for f in _COUNT_FIELDS]
+                + [f"num_asset_count_{k}" for k in self.asset_count_keys])
 
-    def _imputed(self, records: Sequence[QueryRecord], f: str) -> List[float]:
-        """Column f, a missing value replaced by its training median."""
-        median = self.impute_medians[f]
-        return [median if v is None else float(v)
-                for v in map(attrgetter(f), records)]
-
-    def _raw_numeric(self, records: Sequence[QueryRecord],
-                     reports: Sequence[ComplexityReport]) -> np.ndarray:
-        cols = [[float(rep.score) for rep in reports]]
-        cols += [self._imputed(records, f) for f in _COUNT_FIELDS]
-        cols += [[float(r.asset_type_counts.get(k, 0)) for r in records]
+    def _raw(self, records: Sequence[QueryRecord],
+             reports: Sequence[ComplexityReport]) -> np.ndarray:
+        """The (columns, n) tabular inputs before scaling, in layout order
+        less the one-hot columns, with zero rows for the two byte ratios. A
+        missing count or byte count takes its training median."""
+        got = {f: list(map(attrgetter(f), records)) for f in _OPTIONAL_FIELDS}
+        imputed = {f: [m if v is None else v for v in got[f]]
+                   for f, m in self.impute_medians.items()}
+        cols = [[rep.score for rep in reports]]
+        cols += [imputed[f] for f in _COUNT_FIELDS]
+        cols += [[r.asset_type_counts.get(k, 0) for r in records]
                  for k in self.asset_count_keys]
-        return _stack_columns(cols, len(records))
+        cols += [imputed[f] for f in _BYTE_FIELDS]
+        cols += [[0] * len(records)] * 2
+        cols += [[v is None for v in got[f]] for f in _OPTIONAL_FIELDS]
+        cols += [[v is not None and v > 0 for v in got[f]]
+                 for f in _COUNT_FIELDS[2:]]  # the provider flags
+        cols.append([bool(r.cache_hit) for r in records])
+        return np.array(cols, dtype=np.float64)
 
-    def _vol(self, records: Sequence[QueryRecord]) -> np.ndarray:
-        bp, bb, acct, res = (np.array(self._imputed(records, f), dtype=np.float64)
-                             for f in ("total_bytes_processed",
-                                       "total_bytes_billed",
-                                       "account_count", "resource_count"))
-        per_acct = np.divide(bp, acct, out=np.zeros_like(bp), where=acct > 0)
-        per_res = np.divide(bp, res, out=np.zeros_like(bp), where=res > 0)
-        return _stack_columns([np.log1p(c) for c in (bp, bb, per_acct, per_res)],
-                              len(records))
-
-    def _miss(self, records: Sequence[QueryRecord]) -> np.ndarray:
-        return _stack_columns([[v is None for v in map(attrgetter(f), records)]
-                               for f in _OPTIONAL_FIELDS], len(records))
-
-    def _cat(self, records: Sequence[QueryRecord]) -> np.ndarray:
-        n = len(records)
-        width = sum(len(self.category_maps[f]) + 1 for f in _CATEGORICAL_FIELDS)
-        block = np.zeros((n, width + 4))  # then 3 provider flags, cache_hit
-        offset = 0
-        for f in _CATEGORICAL_FIELDS:
-            cats = self.category_maps[f]
-            slot = {c: i for i, c in enumerate(cats)}
-            hot = [slot.get(v or "", len(cats)) for v in map(attrgetter(f), records)]
-            block[np.arange(n), offset + np.array(hot, dtype=np.int64)] = 1.0
-            offset += len(cats) + 1
-        for j, f in enumerate(("accounts_aws", "accounts_gcp", "accounts_azure")):
-            block[:, offset + j] = [v is not None and v > 0
-                                    for v in map(attrgetter(f), records)]
-        block[:, offset + 3] = [bool(r.cache_hit) for r in records]
-        return block
-
-    def _column_names(self) -> List[str]:
+    def _layout(self) -> List[str]:
+        """The column names. Also sets ``_one_hot``: per categorical field,
+        its getter, each category's column and the column of any other."""
         names = [f"text_svd_{i}" for i in range(self.svd_basis.k)]
         names += self._numeric_names()
         names += ["vol_log1p_bytes_processed", "vol_log1p_bytes_billed",
                   "vol_log1p_bytes_per_account", "vol_log1p_bytes_per_resource"]
         names += [f"miss_{f}" for f in _OPTIONAL_FIELDS]
+        self._one_hot = []
         for f in _CATEGORICAL_FIELDS:
-            for c in self.category_maps[f]:
-                names.append(f"cat_{f}_{c or '<empty>'}")
+            cats, at = self.category_maps[f], len(names)
+            slot = {c: at + i for i, c in enumerate(cats)}
+            self._one_hot.append((attrgetter(f), slot, at + len(cats)))
+            names += [f"cat_{f}_{c or '<empty>'}" for c in cats]
             names.append(f"cat_{f}_{OTHER_CATEGORY}")
         names += ["cat_provider_aws", "cat_provider_gcp", "cat_provider_azure",
                   "cat_cache_hit"]
@@ -371,28 +348,50 @@ class Featurizer:
             for f in _CATEGORICAL_FIELDS
         }
 
-        num = self._raw_numeric(records, reports)
+        # scaling statistics over an (n, n_numeric) C-ordered block
+        num = np.ascontiguousarray(
+            self._raw(records, reports)[:len(self._numeric_names())].T)
         self.num_mean = num.mean(axis=0)
         std = num.std(axis=0)
         std[std <= 0] = 1.0
         self.num_std = std
 
-        self.column_names = self._column_names()
+        self.column_names = self._layout()
         self._fitted = True
-        return self.transform(records, reports, cleaned)
+        return self.transform(records, reports, cleaned,
+                              _tfidf=(tfidf.data, tfidf.indices, tfidf.indptr))
 
     def transform(self, records: Sequence[QueryRecord],
                   reports: Sequence[ComplexityReport],
-                  cleaned: Sequence[CleanedQuery]) -> FeatureMatrix:
+                  cleaned: Sequence[CleanedQuery], *,
+                  _tfidf: Optional[TextRows] = None) -> FeatureMatrix:
+        """The feature matrix of one record or a batch: one block, each
+        group of columns written into its own slice. fit_transform passes
+        the TF-IDF rows it built for fit_svd as ``_tfidf``."""
         if not self._fitted:
             raise StateNotFitted("featurizer must be fit before transform")
         _check_lengths(records, reports, cleaned)
-        text = project_text(self.svd_basis,
-                            transform_text(self.text_state, cleaned))
-        num = (self._raw_numeric(records, reports) - self.num_mean) / self.num_std
-        rows = np.hstack([text, num, self._vol(records), self._miss(records),
-                          self._cat(records)])
-        if not np.all(np.isfinite(rows)):
+        if _tfidf is None:
+            _tfidf = transform_text(self.text_state, cleaned)
+        n, k = len(records), self.svd_basis.k
+        rows = np.zeros((n, len(self.column_names)))
+        project_text(self.svd_basis, _tfidf, out=rows[:, :k])
+        raw = self._raw(records, reports)
+        n_num = self.num_mean.shape[0]
+        num, vol = raw[:n_num], raw[n_num:n_num + 4]
+        per = raw[1:3]  # imputed account_count and resource_count
+        np.divide(vol[:1], per, out=vol[2:], where=per > 0)
+        np.log1p(vol, out=vol)
+        num -= self.num_mean[:, None]
+        num /= self.num_std[:, None]
+        tab = n_num + 4 + len(_OPTIONAL_FIELDS)
+        rows[:, k:k + tab] = raw[:tab].T
+        rows[:, -4:] = raw[tab:].T
+        width = rows.shape[1]
+        np.put(rows, [i * width + slot.get(v or "", other)
+                      for get, slot, other in self._one_hot
+                      for i, v in enumerate(map(get, records))], 1.0)
+        if not np.isfinite(rows).all():
             raise ValueError("non-finite entries in feature matrix")
         return FeatureMatrix(rows=rows, column_names=list(self.column_names))
 
@@ -455,6 +454,6 @@ class Featurizer:
                 and basis.components.shape[1] == text.size
                 and basis.singular_values.shape == (basis.k,)
                 and fz.num_mean.shape == fz.num_std.shape == (n_num,)
-                and fz.column_names == fz._column_names()):
+                and fz.column_names == fz._layout()):
             raise CorruptBundle("featurizer: state arrays and names disagree")
         return fz

@@ -179,9 +179,10 @@ def _score(bundle: ModelBundle,
     for route in set(route_names):
         mask = np.array([r == route for r in route_names])
         zs[mask] = _forest_for_route(bundle, route).predict(matrix.rows[mask])
-    return [PredictionResult(slot_min=inverse_target(z), route=route,
+    return [PredictionResult(slot_min=slot, route=route,
                              complexity_score=rep.score, log_space_value=z)
-            for z, route, rep in zip(zs.tolist(), route_names, reports)]
+            for slot, z, route, rep in zip(inverse_target(zs).tolist(),
+                                           zs.tolist(), route_names, reports)]
 
 
 def predict(bundle: ModelBundle, record: QueryRecord) -> PredictionResult:

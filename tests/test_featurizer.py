@@ -17,7 +17,6 @@ from slotcast.errors import (
     LengthMismatch,
     StateNotFitted,
 )
-from slotcast import featurizer
 from slotcast.config import from_dict, to_dict
 from slotcast.featurizer import (
     Featurizer,
@@ -43,6 +42,20 @@ from naive_oracles import (
 
 def cq(text):
     return clean_query(text)
+
+
+def tfidf_matrix(state, corpus):
+    """transform_text's (data, indices, indptr) triple as the (n, V) CSR
+    matrix it describes."""
+    return sp.csr_matrix(transform_text(state, corpus),
+                         shape=(len(corpus), state.size))
+
+
+def as_triple(rows):
+    """Dense or sparse rows as the (data, indices, indptr) triple that
+    project_text takes."""
+    m = sp.csr_matrix(rows if sp.issparse(rows) else np.atleast_2d(rows))
+    return m.data, m.indices, m.indptr
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +94,20 @@ def test_min_df_filters():
 
 def test_transform_out_of_vocab_is_zero():
     state = fit_text([cq("A B"), cq("B C")], min_df=1)
-    v = transform_text(state, [cq("Z Q")])
+    v = tfidf_matrix(state, [cq("Z Q")])
     assert v.nnz == 0
 
 
 def test_transform_single_term_is_unit():
     state = fit_text([cq("A B"), cq("B C")], min_df=1)
-    v = transform_text(state, [cq("B")])
+    v = tfidf_matrix(state, [cq("B")])
     assert v.nnz == 1
     assert np.isclose(abs(v).sum(), 1.0)
 
 
 def test_transform_hand_computed_weights():
     state = fit_text([cq("A B"), cq("B C")], min_df=1)
-    v = np.asarray(transform_text(state, [cq("A B")]).todense()).ravel()
+    v = np.asarray(tfidf_matrix(state, [cq("A B")]).todense()).ravel()
     idf_rare = math.log(3 / 2) + 1
     raw = np.zeros(len(state.vocabulary))
     raw[state.vocabulary["A"]] = idf_rare
@@ -118,7 +131,7 @@ def test_tfidf_matches_naive_oracle():
                                     min_df=2, max_vocab=1000)
     assert terms == sorted(state.vocabulary, key=state.vocabulary.get)
     for c, expected in zip(cleaned, naive_rows):
-        got = np.asarray(transform_text(state, [c]).todense()).ravel()
+        got = np.asarray(tfidf_matrix(state, [c]).todense()).ravel()
         want = np.zeros_like(got)
         for t, w in expected.items():
             want[state.vocabulary[t]] = w
@@ -254,7 +267,7 @@ def test_svd_matches_dense_svd(case):
 def test_project_zero_vector():
     a = sp.csr_matrix(np.eye(4))
     basis = fit_svd(a, k=2)
-    out = project_text(basis, sp.csr_matrix((1, 4)))
+    out = project_text(basis, as_triple(sp.csr_matrix((1, 4))))
     assert np.allclose(out, 0)
 
 
@@ -262,7 +275,7 @@ def test_project_basis_row_gives_unit_coordinate():
     a = sp.random(20, 30, density=0.3, random_state=np.random.RandomState(3))
     basis = fit_svd(a, k=4)
     for i in range(basis.k):
-        out = project_text(basis, basis.components[i])
+        out = project_text(basis, as_triple(basis.components[i]))
         expected = np.zeros(basis.k)
         expected[i] = 1.0
         assert np.allclose(out, expected, atol=1e-8)
@@ -272,26 +285,25 @@ def test_project_dimension_mismatch():
     a = sp.csr_matrix(np.eye(4))
     basis = fit_svd(a, k=2)
     with pytest.raises(DimensionMismatch):
-        project_text(basis, np.ones(7))
+        project_text(basis, as_triple(np.ones(7)))
+    data, indices, indptr = as_triple(np.ones(2))
+    with pytest.raises(DimensionMismatch):  # a negative column
+        project_text(basis, (data, np.array([0, -1]), indptr))
 
 
-def test_project_text_takes_csr_as_given_or_converted(monkeypatch):
+def test_transform_text_rows_hold_increasing_in_range_columns():
+    """project_text scatters each row's weights into a dense vector, which
+    needs distinct columns inside the vocabulary: transform_text gives
+    each row strictly increasing column indices in 0..V-1."""
     fz, _, recs = fitted_featurizers()
-    m = transform_text(fz.text_state, [cq(r.query_text) for r in recs])
-    want = project_text(fz.svd_basis, m)
-    # the same rows with each entry split into two halves of one column
-    dup = sp.csr_matrix((np.repeat(m.data / 2, 2), np.repeat(m.indices, 2),
-                         2 * m.indptr), shape=m.shape)
-    assert not dup.has_canonical_format
-    assert project_text(fz.svd_basis, dup).tobytes() == want.tobytes()
-    for other in (m.toarray(), m.tocsc()):
-        assert project_text(fz.svd_basis, other).tobytes() == want.tobytes()
-
-    def no_csr(*args, **kwargs):
-        raise AssertionError("a canonical float64 CSR was converted again")
-
-    monkeypatch.setattr(featurizer.sp, "csr_matrix", no_csr)
-    assert project_text(fz.svd_basis, m).tobytes() == want.tobytes()
+    cleaned = [cq(r.query_text) for r in recs] + [cq("ZZYZX"), cq("")]
+    data, indices, indptr = transform_text(fz.text_state, cleaned)
+    assert indptr[0] == 0 and indptr[-1] == len(data) == len(indices)
+    assert len(indptr) == len(cleaned) + 1 and np.all(np.diff(indptr) >= 0)
+    assert len(indices) and indices.min() >= 0
+    assert indices.max() <= fz.text_state.size - 1
+    for s, e in zip(indptr[:-1], indptr[1:]):
+        assert np.all(np.diff(indices[s:e]) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +530,18 @@ def assert_batch_matches_rows(fz, records):
         assert one.tobytes() == batch[i].tobytes()
 
 
+_OPTIONAL_FIELDS = ("total_bytes_processed", "total_bytes_billed",
+                    "account_count", "resource_count", "accounts_aws",
+                    "accounts_gcp", "accounts_azure")
+# 0, small and the largest count the record schema accepts
+_COUNTS = st.one_of(st.just(0), st.integers(1, 50), st.just(2**63 - 1))
+
+
 @st.composite
 def record_batches(draw):
     fz, flat, recs = fitted_featurizers()
+    regions = sorted({r.region for r in recs})
+    asset_keys = sorted({k for r in recs for k in r.asset_type_counts})
     batch = []
     for _ in range(draw(st.integers(0, 6))):
         rec = dataclasses.replace(recs[draw(st.integers(0, len(recs) - 1))])
@@ -534,17 +555,24 @@ def record_batches(draw):
                                       * draw(st.integers(2, 6)))
         elif kind == "mixed":
             rec.query_text = draw(st.text(max_size=60)) + rec.query_text
-        for f in ("total_bytes_billed", "account_count", "resource_count",
-                  "accounts_aws"):
+        for f in _OPTIONAL_FIELDS:
             if draw(st.booleans()):
-                setattr(rec, f, draw(st.one_of(st.none(), st.integers(0, 50))))
+                setattr(rec, f, draw(st.one_of(st.none(), _COUNTS)))
+        if draw(st.booleans()):  # seen keys, and one no featurizer knows
+            keys = draw(st.lists(st.sampled_from(asset_keys + ["never-seen"]),
+                                 max_size=4, unique=True))
+            rec.asset_type_counts = {k: draw(_COUNTS) for k in keys}
         if draw(st.booleans()):
             rec.asset_type = draw(st.sampled_from(["", "never-seen", "view"]))
+        if draw(st.booleans()):
+            rec.region = draw(st.sampled_from(["", "never-seen", *regions]))
+        if draw(st.booleans()):
+            rec.cache_hit = draw(st.booleans())
         batch.append(rec)
     return draw(st.sampled_from([fz, flat])), batch
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(record_batches())
 def test_batch_transform_matches_row_by_row_oracle(case):
     fz, records = case
@@ -569,9 +597,9 @@ def test_empty_batch_keeps_the_column_layout():
 def test_transform_text_batch_matches_per_row_oracle():
     fz, _, recs = fitted_featurizers()
     cleaned = [cq(r.query_text) for r in recs] + [cq("ZZYZX"), cq("")]
-    m = transform_text(fz.text_state, cleaned)
+    m = tfidf_matrix(fz.text_state, cleaned)
     assert m.shape == (len(cleaned), fz.text_state.size)
-    proj = project_text(fz.svd_basis, m)
+    proj = project_text(fz.svd_basis, transform_text(fz.text_state, cleaned))
     for i, q in enumerate(cleaned):
         row = naive_transform_text(fz.text_state, q)
         assert m[i].toarray().tobytes() == row.toarray().tobytes()

@@ -30,6 +30,7 @@ from slotcast.predictor import (
     transform_target,
 )
 from slotcast.featurizer import FeaturizerConfig
+from slotcast.records import QueryRecord
 from slotcast.synth import OperatorPlan, WorkloadConfig, generate, render_query
 
 
@@ -153,6 +154,74 @@ def test_predict_many_matches_predict(bundle, workload):
     for s, b in zip(singles, batch):
         assert s == b
     assert predict_many(bundle, []) == []
+
+
+# ---------------------------------------------------------------------------
+# Batch scoring edge cases: each raises nothing and equals predict row by row
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fallback_bundle(small_train_config):
+    """A bundle whose complex route falls back to the unified forest."""
+    records = generate(WorkloadConfig(n_queries=120, seed=11,
+                                      trivial_fraction=0.95,
+                                      long_tail_fraction=0.05,
+                                      heavy_mid_fraction=0.0))
+    b = train(records, small_train_config)
+    assert set(b.forests) == {ROUTE_SIMPLE, ROUTE_UNIFIED}
+    return b, records
+
+
+def _assert_batch_is_rows(bundle, records):
+    batch = predict_many(bundle, records)
+    assert batch == [predict(bundle, r) for r in records]
+    return batch
+
+
+def test_predict_many_of_nothing(bundle, fallback_bundle):
+    assert _assert_batch_is_rows(bundle, []) == []
+    assert _assert_batch_is_rows(fallback_bundle[0], []) == []
+
+
+@pytest.mark.parametrize("route", [ROUTE_SIMPLE, ROUTE_COMPLEX])
+def test_predict_many_with_every_row_on_one_route(bundle, workload, route):
+    rows = [r for r in workload if predict(bundle, r).route == route][:12]
+    assert len(rows) == 12
+    batch = _assert_batch_is_rows(bundle, rows)
+    assert {res.route for res in batch} == {route}
+
+
+def test_predict_many_on_a_unified_fallback_bundle(fallback_bundle):
+    b, records = fallback_bundle
+    batch = _assert_batch_is_rows(b, records)
+    # complex rows are reported as complex and scored by the unified forest
+    assert {res.route for res in batch} == {ROUTE_SIMPLE, ROUTE_COMPLEX}
+
+
+def test_predict_many_without_known_terms_or_optional_fields(
+        bundle, fallback_bundle, workload):
+    bare = [QueryRecord(query_text=text)
+            for text in ("", "ZZYZX qwerty", "~ @@ #", "ZZYZX " * 40)]
+    for b in (bundle, fallback_bundle[0]):
+        batch = _assert_batch_is_rows(b, bare + workload[:3])
+        assert all(np.isfinite(res.slot_min) and res.slot_min >= 0
+                   for res in batch)
+
+
+def test_scoring_builds_no_scipy_matrix(bundle, workload, monkeypatch):
+    """predict and predict_many featurize without a scipy sparse object."""
+    from slotcast import featurizer
+    want_many = predict_many(bundle, workload[:25])
+    want_one = [predict(bundle, r) for r in workload[:25]]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("scoring built a scipy sparse matrix")
+
+    monkeypatch.setattr(featurizer.sp, "csr_matrix", no_matrix)
+    monkeypatch.setattr(featurizer.sp, "csr_array", no_matrix)
+    assert predict_many(bundle, workload[:25]) == want_many
+    assert [predict(bundle, r) for r in workload[:25]] == want_one
+    assert want_many == want_one
 
 
 def test_metadata_train_constants(bundle, workload):
