@@ -18,6 +18,8 @@ from .errors import (CorruptBundle, DimensionMismatch, NonFiniteTarget,
                      TooFewSamples)
 
 _BINS = 256  # widest histogram a feature can have (value bins + missing bin)
+_STEPS = (128, 64, 32, 16, 8, 4, 2, 1)  # binary search steps over _BINS slots
+_BIN_BLOCK = 512  # rows BinMapper.transform bins at once
 _NARROW = 16  # widest feature that HistLayout keeps in its narrow block
 MAX_ITERATIONS = 10**6  # boosting rounds; fit allocates one loss slot each
 MAX_LEAVES = 64  # leaves per tree: Forest numbers them as bits of a uint64
@@ -49,12 +51,29 @@ class GBRTConfig:
 
 
 class BinMapper:
-    """Quantile binning with a reserved per-feature missing-value bin."""
+    """Quantile binning with a reserved per-feature missing-value bin.
+
+    The edges live in one (features x _BINS) float64 table: row f holds
+    feature f's non-decreasing edges (at most _BINS - 2 of them), then +inf
+    padding, and bin_edges[f] is a view of the row's edges. That is
+    F x 256 x 8 bytes per mapper, 143 KB at 70 features. A value's bin is
+    the count of its feature's edges <= it, found by a branchless binary
+    search of fixed steps over the padded row (Khuong & Morin, "Array
+    Layouts for Comparison-Based Searching", ACM JEA 2017)."""
 
     def __init__(self, bin_edges: List[np.ndarray]):
-        self.bin_edges = bin_edges
+        table = np.full((len(bin_edges), _BINS), np.inf)
+        for f, e in enumerate(bin_edges):
+            table[f, :len(e)] = e
+        self.bin_edges = [table[f, :len(e)] for f, e in enumerate(bin_edges)]
         self._missing = np.array([len(e) + 1 for e in bin_edges],
                                  dtype=np.uint8)
+        self._base = np.arange(len(bin_edges), dtype=np.intp) * _BINS
+        # step s probes flat[pos + s - 1]; a view shifted by s - 1 makes that
+        # view[pos]. The steps sum to _BINS - 1, so a search never leaves
+        # its feature's row.
+        flat = table.ravel()
+        self._steps = [(flat[s - 1:], s) for s in _STEPS]
 
     @property
     def n_features(self) -> int:
@@ -80,24 +99,44 @@ class BinMapper:
                 edges.append(np.empty(0))
                 continue
             distinct = np.unique(col)
-            if distinct.size <= max_value_bins:
-                e = (distinct[:-1] + distinct[1:]) / 2.0
-            else:
-                qs = np.percentile(
-                    col, np.linspace(0, 100, max_value_bins + 1)[1:-1])
-                e = np.unique(qs)
-            edges.append(np.ascontiguousarray(e, dtype=np.float64))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if distinct.size <= max_value_bins:
+                    # one edge e with a < e <= b between neighbours a < b,
+                    # so distinct values never share a bin: the midpoint,
+                    # or b where the midpoint rounds to a or overflows
+                    a, b = distinct[:-1], distinct[1:]
+                    mid = (a + b) / 2.0
+                    e = np.where((a < mid) & (mid <= b), mid, b)
+                else:
+                    ps = np.linspace(0, 100, max_value_bins + 1)[1:-1]
+                    qs = np.percentile(col, ps)
+                    # interpolating across a gap wider than the largest
+                    # double gives +-inf or NaN: take the nearest sample at
+                    # or above the quantile instead
+                    odd = ~np.isfinite(qs)
+                    qs[odd] = np.percentile(col, ps[odd], method="higher")
+                    e = np.unique(qs)
+            edges.append(e)
         return cls(edges)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
+        """Bins of x as uint8, one block of rows at a time, in one code path
+        for one row and a batch. Every value of a block walks the same
+        _STEPS: pos starts at its feature's row and moves up by s where the
+        table entry s - 1 past it is <= the value, which ends on the count
+        of edges <= the value (searchsorted's side="right"). Non-finite
+        values then take their feature's missing bin."""
         if x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected {self.n_features} features, got {x.shape[1]}")
-        # one C-level call per feature, then one pass over the whole matrix
-        # that sends non-finite values to their feature's missing bin
         out = np.empty(x.shape, dtype=np.uint8)
-        for f, e in enumerate(self.bin_edges):
-            out[:, f] = e.searchsorted(x[:, f], side="right")
+        for start in range(0, x.shape[0], _BIN_BLOCK):
+            rows = slice(start, start + _BIN_BLOCK)
+            block = x[rows]
+            pos = self._base  # takes the block's shape at the first step
+            for view, s in self._steps:
+                pos = pos + (view[pos] <= block) * s
+            np.subtract(pos, self._base, out=out[rows], casting="unsafe")
         return np.where(np.isfinite(x), out, self._missing)
 
 
@@ -360,11 +399,12 @@ class Forest:
         return self._seg_start.size
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """b0 plus the learning rate times each tree's leaf value. All trees
-        are scored at once, one block of rows at a time: a block decides
-        each distinct (feature, threshold) test once per row, in one (tests
-        x rows) matrix, ANDs each tree's masks of the failed tests and takes
-        the lowest set bit as the exit leaf."""
+        """b0 plus the learning rate times each tree's leaf value. The rows
+        are binned first, by the bin mapper's 8-step search over its padded
+        edge table. Then all trees are scored at once, one block of rows at
+        a time: a block decides each distinct (feature, threshold) test once
+        per row, in one (tests x rows) matrix, ANDs each tree's masks of the
+        failed tests and takes the lowest set bit as the exit leaf."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
@@ -408,10 +448,11 @@ class Forest:
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Forest":
         """Inverse of get_state. Raises CorruptBundle unless the arrays
         describe trees the forest can score: features are known, thresholds
-        fit a uint8 and an internal node's threshold is one of its feature's
+        fit a uint8, an internal node's threshold is one of its feature's
         value bins (fit never splits at the missing bin, which sends every
-        row left); building the forest checks that the children make each
-        tree a tree of at most MAX_LEAVES leaves."""
+        row left) and each feature's bin edges are non-decreasing float64
+        values, as binning's search needs; building the forest checks that
+        the children make each tree a tree of at most MAX_LEAVES leaves."""
         f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
         eo, ev = arrays["edge_offsets"], arrays["edge_values"]
         if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
@@ -429,8 +470,15 @@ class Forest:
                 or np.any((t < 0) | (t > top[f]))):
             raise CorruptBundle("forest: node feature or threshold out of "
                                 "range")
-        edges = [np.ascontiguousarray(ev[eo[i]:eo[i + 1]])
-                 for i in range(eo.size - 1)]
+        # binning searches each feature's edges: a NaN or a decrease within
+        # a feature would bin values wrongly without an error
+        first = np.zeros(ev.size + 1, dtype=bool)
+        first[eo] = True  # ev[i] is its feature's first edge
+        if ev.dtype != np.float64 or np.isnan(ev).any() or np.any(
+                (np.diff(ev) < 0) & ~first[1:-1]):
+            raise CorruptBundle("forest: bin edges are not float64 and "
+                                "non-decreasing within each feature")
+        edges = [ev[eo[i]:eo[i + 1]] for i in range(eo.size - 1)]
         return cls(config=from_dict(GBRTConfig, meta["config"]),
                    b0=float(meta["b0"]), bin_mapper=BinMapper(edges),
                    train_losses=arrays["train_losses"],

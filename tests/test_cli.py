@@ -26,7 +26,8 @@ from slotcast.cli import (
 from slotcast.config import settings as declared_settings
 from slotcast.featurizer import FeaturizerConfig
 from slotcast.gbrt import GBRTConfig
-from slotcast.predictor import FORMAT_VERSION, Router
+from slotcast.predictor import (FORMAT_VERSION, Router, load_bundle,
+                                 save_bundle)
 from slotcast.records import _CHECKS, QueryRecord
 from slotcast.synth import OracleCostModel, WorkloadConfig, generate
 
@@ -609,6 +610,23 @@ def test_corrupt_bundle_is_io_error(trained, tmp_path, capsys):
     out = tmp_path / "p.tsv"
     assert main(["predict", "--bundle", str(bad), "--input", str(data),
                  "--output", str(out)]) == EXIT_IO
+
+
+def test_bundle_with_unsorted_bin_edges_is_io_error(trained, tmp_path,
+                                                    capsys):
+    """Two edges of one feature swapped in memory and saved with a valid
+    checksum: loading refuses them, as binning's search needs sorted edges."""
+    _, data, bundle = trained
+    model = load_bundle(bundle)
+    edges = next(e for e in model.forests["simple"].bin_mapper.bin_edges
+                 if e.size >= 2)
+    edges[:2] = edges[1::-1].copy()
+    bad = tmp_path / "unsorted.sltb"
+    save_bundle(model, bad)
+    assert main(["predict", "--bundle", str(bad), "--input", str(data),
+                 "--output", str(tmp_path / "p.tsv")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and "non-decreasing" in err
 
 
 def test_version_mismatch_exit_code(trained, tmp_path, capsys):

@@ -32,12 +32,40 @@ def forest_bytes(forest):
 # Binning
 # ---------------------------------------------------------------------------
 
+def _after(v, k):
+    """v and the k doubles after it."""
+    out = [v]
+    for _ in range(k):
+        out.append(np.nextafter(out[-1], np.inf))
+    return out
+
+
 def test_bin_edges_strictly_increasing():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(500, 3))
-    mapper = BinMapper.fit(x)
-    for e in mapper.bin_edges:
-        assert np.all(np.diff(e) > 0)
+    """Each edge lies in (a, b] of the neighbouring distinct values a < b it
+    separates, also where their midpoint rounds to a or overflows; above
+    the bin budget, quantile edges stay finite and increasing."""
+    columns = [
+        np.random.default_rng(0).normal(size=500),
+        _after(1.0, 2),                        # midpoint of 1 and 1+ulp is 1
+        _after(np.nextafter(1.0, 2.0), 2),
+        _after(0.0, 3) + _after(-5e-324, 0),   # subnormals and zero
+        [1.7e308, 1e308, -1e308, -1.7e308],    # a + b overflows to +-inf
+        [-1.7e308, 1.7e308],
+        # more distinct values than bins: one quantile's sample index falls
+        # exactly on the gap from -1.7e308 to 1.6e308, where interpolating
+        # gives NaN
+        np.concatenate([-1.7e308 + np.arange(101) * 1e300,
+                        1.6e308 + np.arange(154) * 1e300]),
+    ]
+    for values in columns:
+        x = np.array(values, dtype=np.float64)[:, None]
+        mapper = BinMapper.fit(x)
+        e = mapper.bin_edges[0]
+        assert np.all(np.isfinite(e)) and np.all(e[1:] > e[:-1])
+        distinct = np.unique(x)
+        if distinct.size <= 254:  # one bin per distinct value
+            assert np.unique(mapper.transform(x)).size == distinct.size
+            assert np.all((distinct[:-1] < e) & (e <= distinct[1:]))
 
 
 def test_every_finite_value_maps_to_one_bin():
@@ -67,15 +95,21 @@ def test_high_cardinality_respects_bin_budget():
 
 @st.composite
 def binning_cases(draw):
-    """Edge lists of 0 to 254 edges, always including both extremes, and
-    rows of values on an edge, one ulp either side of it, anywhere, NaN
-    or +-inf, in C or Fortran order."""
+    """Non-decreasing edge lists of 0 to 254 edges, always including both
+    extremes, some of them with repeated edges, and rows of values on an
+    edge, one ulp either side of it, anywhere, NaN or +-inf, in C or
+    Fortran order. Most batches are small; the rest hold one block of rows
+    less one, one block, one block and a row, or about two blocks."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     counts = draw(st.permutations(
         [0, 254] + draw(st.lists(st.sampled_from([1, 2, 37]), max_size=3))))
-    edges = [np.cumsum(rng.uniform(0.01, 1.0, size=k)) - k / 4
+    repeat = draw(st.sampled_from([0.0, 0.3, 0.9]))  # share of zero steps
+    edges = [np.cumsum(rng.uniform(0.01, 1.0, size=k)
+                       * (rng.random(k) >= repeat)) - k / 4
              for k in counts]
-    n = draw(st.integers(1, 12))
+    block = gbrt._BIN_BLOCK
+    n = draw(st.one_of(st.integers(1, 12),
+                       st.sampled_from([block - 1, block, block + 1, 1100])))
     x = rng.normal(scale=60.0, size=(n, len(edges)))
     for f, e in enumerate(edges):
         kind = rng.integers(0, 7, size=n)

@@ -371,6 +371,53 @@ def test_forest_of_another_width_rejected(bundle):
         deserialize_bundle(serialize_bundle(odd))
 
 
+def _widest_feature(forest):
+    """The feature with the most bin edges, and where its edges start."""
+    counts = np.diff(forest.get_state()[1]["edge_offsets"])
+    f = int(np.argmax(counts))
+    assert counts[f] >= 3
+    return f, int(counts[:f].sum())
+
+
+@pytest.mark.parametrize("edit", ["nan", "decreasing"])
+def test_resigned_bundle_with_unsorted_edges_rejected(bundle, edit):
+    route = sorted(bundle.forests)[0]
+    _, at = _widest_feature(bundle.forests[route])
+
+    def unsort(ev):
+        if edit == "nan":
+            ev[at + 1] = np.nan
+        else:  # two neighbours of one feature in the wrong order
+            ev[at], ev[at + 1] = ev[at + 1], ev[at]
+
+    bad = resigned(serialize_bundle(bundle), f"forest.{route}.edge_values",
+                   unsort)
+    with pytest.raises(CorruptBundle, match="non-decreasing"):
+        deserialize_bundle(bad)
+
+
+def test_forest_with_float32_edges_rejected(bundle):
+    meta, arrays = bundle.forests[sorted(bundle.forests)[0]].get_state()
+    arrays["edge_values"] = arrays["edge_values"].astype(np.float32)
+    with pytest.raises(CorruptBundle, match="float64"):
+        gbrt.Forest.from_state(meta, arrays)
+
+
+def test_forest_edges_may_repeat_and_fall_between_features(bundle):
+    """Edges need only be non-decreasing within one feature: a repeated
+    edge loads, and so does a feature whose first edge is below the last
+    edge of the feature before it."""
+    forest = bundle.forests[sorted(bundle.forests)[0]]
+    meta, arrays = forest.get_state()
+    ev = arrays["edge_values"].copy()
+    assert np.any(np.diff(ev) < 0)  # in a fitted forest, only between features
+    f, at = _widest_feature(forest)
+    ev[at + 1] = ev[at]
+    loaded = gbrt.Forest.from_state(meta, {**arrays, "edge_values": ev})
+    end = arrays["edge_offsets"][f + 1]
+    assert np.array_equal(loaded.bin_mapper.bin_edges[f], ev[at:end])
+
+
 def test_retrain_byte_identical(workload, small_train_config):
     b1 = train(workload, small_train_config)
     b2 = train(workload, small_train_config)
