@@ -5,7 +5,8 @@ Run with: python3 demos/02_text_features.py
 import numpy as np
 
 from slotcast import clean_query
-from slotcast.featurizer import fit_svd, fit_text, transform_text_corpus
+from slotcast.featurizer import (fit_svd, fit_text, project_text,
+                                 transform_text_corpus)
 
 CORPUS = [
     "SELECT a FROM `p.d.t` GROUP BY a",
@@ -25,13 +26,13 @@ def main():
     matrix = transform_text_corpus(state, cleaned)
     print(f"corpus: {len(CORPUS)} queries, vocabulary: {len(state.vocabulary)} "
           f"uni/bigrams, tf-idf matrix {matrix.shape}, "
-          f"nnz density {matrix.nnz / np.prod(matrix.shape):.2f}")
+          f"nnz density {matrix.indptr[-1] / np.prod(matrix.shape):.2f}")
 
     basis = fit_svd(matrix, k=4)
     print(f"svd basis: {basis.components.shape[0]} components, "
           f"singular values {np.round(basis.singular_values, 3)}")
 
-    embedded = matrix @ basis.components.T
+    embedded = project_text(basis, matrix[:3])
     sims = embedded @ embedded.T
     print("\npairwise similarity in the embedded space (rounded):")
     print(np.round(sims, 2))

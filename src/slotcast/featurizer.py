@@ -10,10 +10,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import check, from_dict, setting, to_dict
 from .errors import (
@@ -104,12 +103,23 @@ def transform_text(state: TextVectorizerState,
     return data, col_ids, np.array(indptr, dtype=np.int64)
 
 
+class CorpusRows(NamedTuple):
+    """transform_text's rows with the (n, V) shape of the matrix they
+    describe, under scipy's CSR attribute names."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+
+
 def transform_text_corpus(state: TextVectorizerState,
-                          corpus: Iterable[CleanedQuery]) -> sp.csr_matrix:
-    """transform_text's rows as one (n, V) CSR matrix, fit_svd's input."""
+                          corpus: Iterable[CleanedQuery]) -> CorpusRows:
+    """transform_text's rows of a whole corpus and their (n, V) shape,
+    fit_svd's input. The rows are canonical, each row's columns strictly
+    increasing, which fit_svd needs to add in scipy's order."""
     corpus = list(corpus)
-    return sp.csr_matrix(transform_text(state, corpus),
-                         shape=(len(corpus), state.size))
+    return CorpusRows(*transform_text(state, corpus),
+                      shape=(len(corpus), state.size))
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +136,58 @@ class SvdBasis:
         return self.components.shape[0]
 
 
-def fit_svd(tfidf_rows: sp.spmatrix, k: int) -> SvdBasis:
-    """Exact truncated SVD of a sparse matrix: the top-k eigenpairs of its
+def _transpose(rows: CorpusRows) -> CorpusRows:
+    """The rows of Aᵀ: column c of A as a row, its row ids ascending (a
+    stable sort of the column ids keeps each column's entries in row
+    order)."""
+    n, v = rows.shape
+    order = np.argsort(rows.indices, kind="stable")
+    row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(rows.indptr))
+    indptr = np.zeros(v + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows.indices, minlength=v), out=indptr[1:])
+    return CorpusRows(rows.data[order], row_ids[order], indptr, (v, n))
+
+
+def _gram(rows: CorpusRows) -> np.ndarray:
+    """AᵀA as scipy's CSR product accumulates it: row by row in ascending
+    order, G[c_i, c_j] += x_i * x_j over each row's entries. A row's
+    columns are distinct, so one fancy-index += adds each product once."""
+    v = rows.shape[1]
+    g = np.zeros(v * v)
+    cols, data = rows.indices.astype(np.int64), rows.data
+    bounds = rows.indptr.tolist()
+    for s, e in zip(bounds, bounds[1:]):
+        if s < e:
+            c, x = cols[s:e], data[s:e]
+            g[(c[:, None] * v + c).ravel()] += np.outer(x, x).ravel()
+    return g.reshape(v, v)
+
+
+def _transpose_times(rows: CorpusRows, u: np.ndarray) -> np.ndarray:
+    """Aᵀu as scipy's sparse-dense product accumulates it: row r's outer
+    product data_r ⊗ u[r] added into the row's columns, r ascending."""
+    out = np.zeros((rows.shape[1], u.shape[1]))
+    bounds = rows.indptr.tolist()
+    for r, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        if s < e:
+            out[rows.indices[s:e]] += np.outer(rows.data[s:e], u[r])
+    return out
+
+
+def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
+    """Exact truncated SVD of sparse rows: the top-k eigenpairs of their
     smaller Gram matrix (AᵀA when it has no more columns than rows, else
     AAᵀ), with sigma = sqrt(eigenvalue).
+
+    ``tfidf_rows`` is anything with CSR ``data``, ``indices``, ``indptr``
+    and ``shape`` (CorpusRows, a scipy CSR matrix). Rows must be canonical,
+    their columns strictly increasing, as transform_text makes them. The
+    Gram matrix then holds the same bytes as scipy's sparse product: AᵀA
+    adds row r's products in ascending r; AAᵀ adds column c's products in
+    ascending c, each column's rows ascending; and the components' Aᵀu adds
+    ``data_r * u[r]`` into the row's columns in ascending r. Rows whose
+    columns are distinct but unsorted give the same decomposition to
+    rounding.
 
     Directions whose eigenvalue is at most lambda_max * max(n, V) * eps
     (numpy ``matrix_rank``'s cutoff, applied to the Gram matrix) are
@@ -138,12 +196,14 @@ def fit_svd(tfidf_rows: sp.spmatrix, k: int) -> SvdBasis:
     whose sigma is near the cutoff is orthonormal to the others only to
     within about ``eps * sigma_max**2 / sigma**2``.
     """
-    a = sp.csr_matrix(tfidf_rows, dtype=np.float64)
-    n, v = a.shape
+    n, v = tfidf_rows.shape
+    a = CorpusRows(np.asarray(tfidf_rows.data, dtype=np.float64),
+                   np.asarray(tfidf_rows.indices),
+                   np.asarray(tfidf_rows.indptr), (n, v))
     if n < 2:
         raise DegenerateInput("SVD needs at least 2 rows")
     tall = v <= n
-    lam, vecs = np.linalg.eigh((a.T @ a if tall else a @ a.T).toarray())
+    lam, vecs = np.linalg.eigh(_gram(a if tall else _transpose(a)))
     lam, vecs = lam[::-1], vecs[:, ::-1]  # descending
     tol = max(lam[0], 0.0) * max(n, v) * np.finfo(np.float64).eps
     rank = min(k, int(np.count_nonzero(lam > tol)))
@@ -151,7 +211,7 @@ def fit_svd(tfidf_rows: sp.spmatrix, k: int) -> SvdBasis:
     if tall:
         vt = vecs[:, :rank].T
     else:
-        vt = np.asarray(a.T @ vecs[:, :rank]).T / s[:, None]
+        vt = _transpose_times(a, vecs[:, :rank]).T / s[:, None]
     # deterministic sign: largest-magnitude entry of each component positive
     for i in range(vt.shape[0]):
         j = int(np.argmax(np.abs(vt[i])))
@@ -358,8 +418,7 @@ class Featurizer:
 
         self.column_names = self._layout()
         self._fitted = True
-        return self.transform(records, reports, cleaned,
-                              _tfidf=(tfidf.data, tfidf.indices, tfidf.indptr))
+        return self.transform(records, reports, cleaned, _tfidf=tfidf[:3])
 
     def transform(self, records: Sequence[QueryRecord],
                   reports: Sequence[ComplexityReport],
@@ -426,8 +485,9 @@ class Featurizer:
         """Inverse of get_state. Raises CorruptBundle unless the state can
         transform a record: the medians and category maps cover exactly
         their fields, the vocabulary, idf and SVD basis agree on size, the
-        scaling arrays fit the numeric block and the column names are the
-        ones this state lays out."""
+        scaling arrays fit the numeric block, the column names are the
+        ones this state lays out, every model number is finite and each
+        numeric spread is positive (fit sets a zero spread to 1)."""
         fz = cls(from_dict(FeaturizerConfig, meta["config"]))
         vocab = {t: i for i, t in enumerate(meta["vocabulary"])}
         fz.text_state = TextVectorizerState(
@@ -456,4 +516,10 @@ class Featurizer:
                 and fz.num_mean.shape == fz.num_std.shape == (n_num,)
                 and fz.column_names == fz._layout()):
             raise CorruptBundle("featurizer: state arrays and names disagree")
+        numbers = (text.idf, basis.components, basis.singular_values,
+                   fz.num_mean, fz.num_std, list(fz.impute_medians.values()))
+        if not (all(np.isfinite(a).all() for a in numbers)
+                and (fz.num_std > 0).all()):
+            raise CorruptBundle("featurizer: a model number is not finite, "
+                                "or a numeric spread is not positive")
         return fz

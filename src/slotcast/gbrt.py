@@ -24,6 +24,7 @@ _NARROW = 16  # widest feature that HistLayout keeps in its narrow block
 MAX_ITERATIONS = 10**6  # boosting rounds; fit allocates one loss slot each
 MAX_LEAVES = 64  # leaves per tree: Forest numbers them as bits of a uint64
 _ALL = np.uint64(2**64 - 1)  # a word with every leaf bit set
+_LOG_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78
 
 
 @dataclass
@@ -450,9 +451,12 @@ class Forest:
         describe trees the forest can score: features are known, thresholds
         fit a uint8, an internal node's threshold is one of its feature's
         value bins (fit never splits at the missing bin, which sends every
-        row left) and each feature's bin edges are non-decreasing float64
-        values, as binning's search needs; building the forest checks that
-        the children make each tree a tree of at most MAX_LEAVES leaves."""
+        row left), each feature's bin edges are non-decreasing float64
+        values, as binning's search needs, and b0 and the node values are
+        finite, with |b0| plus the learning rate times each tree's largest
+        |leaf value| below log(float max), so that no prediction overflows
+        expm1; building the forest checks that the children make each tree
+        a tree of at most MAX_LEAVES leaves."""
         f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
         eo, ev = arrays["edge_offsets"], arrays["edge_values"]
         if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
@@ -478,9 +482,15 @@ class Forest:
                 (np.diff(ev) < 0) & ~first[1:-1]):
             raise CorruptBundle("forest: bin edges are not float64 and "
                                 "non-decreasing within each feature")
+        config, b0 = from_dict(GBRTConfig, meta["config"]), float(meta["b0"])
+        leaf = np.where(f < 0, np.abs(val), 0.0)
+        reach = abs(b0) + config.learning_rate * np.maximum.reduceat(
+            leaf, off[:-1]).sum()
+        if not (np.isfinite(val).all() and reach < _LOG_MAX):
+            raise CorruptBundle("forest: b0 or a node value is not finite, "
+                                "or a prediction could overflow expm1")
         edges = [ev[eo[i]:eo[i + 1]] for i in range(eo.size - 1)]
-        return cls(config=from_dict(GBRTConfig, meta["config"]),
-                   b0=float(meta["b0"]), bin_mapper=BinMapper(edges),
+        return cls(config=config, b0=b0, bin_mapper=BinMapper(edges),
                    train_losses=arrays["train_losses"],
                    **{k: arrays[k] for k in _NODE_ARRAYS})
 

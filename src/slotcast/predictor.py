@@ -266,7 +266,8 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
     try:
         return _bundle_from_header(
             header, memoryview(body)[16 + header_len:], version)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         # a header the checksum vouches for but not in the shape written
         raise CorruptBundle(f"malformed header: {exc!r}") from exc
 

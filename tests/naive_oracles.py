@@ -342,6 +342,39 @@ def randomized_fit_svd(tfidf_rows, k: int, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
+# The exact text SVD with scipy's sparse products, as slotcast computed it
+# before it formed the Gram matrix with numpy alone. On canonical rows the
+# library's basis must be the same bytes.
+# ---------------------------------------------------------------------------
+
+def scipy_fit_svd(tfidf_rows, k: int):
+    """Exact truncated SVD from scipy's AᵀA or AAᵀ and its Aᵀu."""
+    import scipy.sparse as sp
+    from slotcast.errors import DegenerateInput
+    from slotcast.featurizer import SvdBasis
+    a = sp.csr_matrix(tfidf_rows, dtype=np.float64)
+    n, v = a.shape
+    if n < 2:
+        raise DegenerateInput("SVD needs at least 2 rows")
+    tall = v <= n
+    lam, vecs = np.linalg.eigh((a.T @ a if tall else a @ a.T).toarray())
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    tol = max(lam[0], 0.0) * max(n, v) * np.finfo(np.float64).eps
+    rank = min(k, int(np.count_nonzero(lam > tol)))
+    s = np.sqrt(lam[:rank])
+    if tall:
+        vt = vecs[:, :rank].T
+    else:
+        vt = np.asarray(a.T @ vecs[:, :rank]).T / s[:, None]
+    for i in range(vt.shape[0]):
+        j = int(np.argmax(np.abs(vt[i])))
+        if vt[i, j] < 0:
+            vt[i] = -vt[i]
+    return SvdBasis(components=np.ascontiguousarray(vt),
+                    singular_values=np.ascontiguousarray(s))
+
+
+# ---------------------------------------------------------------------------
 # Row-by-row featurizer: one query at a time through TF-IDF, the SVD
 # projection and the tabular blocks, as slotcast did before it featurized a
 # batch as one matrix. Library batch results must match it bit for bit.

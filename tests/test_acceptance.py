@@ -128,7 +128,9 @@ def test_criterion_3_tfidf_svd_oracle(capsys):
         t0 = time.perf_counter()
         corpus = [clean_query(sql) for sql, _, _ in GOLDEN]
         state = fit_text(corpus, min_df=2, max_vocab=50_000)
-        matrix = transform_text_corpus(state, corpus)
+        rows = transform_text_corpus(state, corpus)
+        matrix = sp.csr_matrix((rows.data, rows.indices, rows.indptr),
+                               shape=rows.shape)
         terms, naive_rows = naive_tfidf([list(q.tokens) for q in corpus],
                                         min_df=2, max_vocab=50_000)
         assert sorted(state.vocabulary) == terms

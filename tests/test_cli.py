@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -564,6 +566,7 @@ def _forest_config(field, value):
     lambda h: h["metadata"].update(train_target_mean=float("nan")),
     lambda h: h["metadata"].update(train_target_median="3.5"),
     lambda h: h["metadata"].update(train_target_mean=10**400),
+    lambda h: next(iter(h["forests"].values())).update(b0=10**400),
 ], ids=["no-format_version", "no-router", "no-metadata", "no-featurizer",
         "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
         "router-threshold-string",
@@ -581,7 +584,7 @@ def _forest_config(field, value):
         "forests-unknown-route", "metadata-no-train_target_mean",
         "metadata-no-train_target_median", "metadata-train_target_mean-nan",
         "metadata-train_target_median-string",
-        "metadata-train_target_mean-beyond-float"])
+        "metadata-train_target_mean-beyond-float", "forest-b0-beyond-float"])
 def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):
     _, data, bundle = trained
     bad = tmp_path / "bad.sltb"
@@ -599,6 +602,66 @@ def test_resigned_unedited_header_still_loads(trained, tmp_path):
     assert same.read_bytes() != raw  # the header was re-encoded
     assert main(["predict", "--bundle", str(same), "--input", str(data),
                  "--output", str(tmp_path / "p.tsv")]) == EXIT_OK
+
+
+def _model_array(path, value, index=0):
+    """Set one entry of the array at a dotted attribute path of the model."""
+    def edit(model):
+        attrgetter(path)(model).flat[index] = value
+    return edit
+
+
+def _leaf_value(value, leaf=True):
+    def edit(model):
+        forest = next(iter(model.forests.values()))
+        node = np.flatnonzero((forest.node_feature < 0) == leaf)[0]
+        forest.node_value[node] = value
+    return edit
+
+
+def _b0(value):
+    def edit(model):
+        next(iter(model.forests.values())).b0 = value
+    return edit
+
+
+def _impute_median(value):
+    def edit(model):
+        medians = model.featurizer.impute_medians
+        medians.update({f: value for f in medians})
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _model_array("featurizer.num_std", np.nan),
+    _model_array("featurizer.num_std", 0.0, index=1),
+    _model_array("featurizer.num_mean", np.inf),
+    _model_array("featurizer.text_state.idf", np.nan),
+    _model_array("featurizer.svd_basis.components", np.nan),
+    _model_array("featurizer.svd_basis.singular_values", np.nan),
+    _impute_median(np.nan),
+    _leaf_value(np.nan),
+    _leaf_value(np.nan, leaf=False),
+    _leaf_value(1e300),
+    _b0(np.inf), _b0(-np.inf), _b0(np.nan), _b0(709.0),
+], ids=["num_std-nan", "num_std-zero", "num_mean-inf", "idf-nan",
+        "svd_components-nan", "svd_singular_values-nan",
+        "impute_medians-nan", "leaf-value-nan", "inner-node-value-nan",
+        "leaf-value-1e300", "b0-inf", "b0-minus-inf", "b0-nan",
+        "b0-709-with-leaves"])
+def test_resigned_non_finite_model_number_is_io_error(trained, tmp_path,
+                                                      capsys, edit):
+    """A model number edited in memory and saved with a valid checksum:
+    loading refuses a non-finite number, a non-positive spread and a forest
+    whose prediction could overflow expm1."""
+    _, data, bundle = trained
+    model = load_bundle(bundle)
+    edit(model)
+    bad = tmp_path / "bad.sltb"
+    save_bundle(model, bad)
+    assert main(["predict", "--bundle", str(bad), "--input", str(data),
+                 "--output", str(tmp_path / "p.tsv")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("file error: ")
 
 
 def test_corrupt_bundle_is_io_error(trained, tmp_path, capsys):

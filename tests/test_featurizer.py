@@ -19,8 +19,12 @@ from slotcast.errors import (
 )
 from slotcast.config import from_dict, to_dict
 from slotcast.featurizer import (
+    CorpusRows,
     Featurizer,
     FeaturizerConfig,
+    _gram,
+    _transpose,
+    _transpose_times,
     fit_svd,
     fit_text,
     project_text,
@@ -37,6 +41,7 @@ from naive_oracles import (
     naive_tfidf,
     naive_transform_text,
     randomized_fit_svd,
+    scipy_fit_svd,
 )
 
 
@@ -49,6 +54,11 @@ def tfidf_matrix(state, corpus):
     matrix it describes."""
     return sp.csr_matrix(transform_text(state, corpus),
                          shape=(len(corpus), state.size))
+
+
+def as_matrix(m):
+    """transform_text_corpus's rows as the scipy CSR matrix they describe."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
 def as_triple(rows):
@@ -142,7 +152,7 @@ def test_tfidf_rows_unit_or_zero_norm():
     recs = generate(WorkloadConfig(n_queries=60, seed=5))
     cleaned = [cq(r.query_text) for r in recs]
     state = fit_text(cleaned)
-    m = transform_text_corpus(state, cleaned)
+    m = as_matrix(transform_text_corpus(state, cleaned))
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1))).ravel()
     assert np.all((norms == 0) | (np.abs(norms - 1) <= 1e-9))
 
@@ -176,7 +186,8 @@ def test_svd_full_rank_recovery():
 
 def test_svd_orthonormal_and_sorted():
     rng = np.random.default_rng(0)
-    a = sp.random(50, 200, density=0.05, random_state=np.random.RandomState(1))
+    a = sp.random(50, 200, density=0.05,
+                  random_state=np.random.RandomState(1)).tocsr()
     basis = fit_svd(a, k=10)
     gram = basis.components @ basis.components.T
     assert np.max(np.abs(gram - np.eye(basis.k))) <= 1e-8
@@ -185,7 +196,8 @@ def test_svd_orthonormal_and_sorted():
 
 
 def test_svd_error_non_increasing_in_k():
-    a = sp.random(50, 200, density=0.05, random_state=np.random.RandomState(7))
+    a = sp.random(50, 200, density=0.05,
+                  random_state=np.random.RandomState(7)).tocsr()
     e10 = _recon_error(a, fit_svd(a, k=10))
     e20 = _recon_error(a, fit_svd(a, k=20))
     assert e20 <= e10 + 1e-9
@@ -197,7 +209,8 @@ def test_svd_degenerate_input():
 
 
 def test_svd_deterministic():
-    a = sp.random(30, 80, density=0.1, random_state=np.random.RandomState(2))
+    a = sp.random(30, 80, density=0.1,
+                  random_state=np.random.RandomState(2)).tocsr()
     b1 = fit_svd(a, k=5)
     b2 = fit_svd(a, k=5)
     assert np.array_equal(b1.components, b2.components)
@@ -264,6 +277,58 @@ def test_svd_matches_dense_svd(case):
     assert np.all(vt[np.arange(basis.k), np.argmax(np.abs(vt), axis=1)] > 0)
 
 
+@st.composite
+def canonical_rows(draw):
+    """(CorpusRows, the scipy CSR matrix of the same rows): tall, wide or
+    square, n = 2 or V = 1, with empty and one-entry rows, values over six
+    decades and int32 or int64 indices."""
+    kind = draw(st.sampled_from(["tall", "wide", "square", "two-rows",
+                                 "one-column"]))
+    small, big = sorted(draw(st.lists(st.integers(2, 40), min_size=2,
+                                      max_size=2)))
+    n, v = {"tall": (big, small), "wide": (small, big), "square": (big, big),
+            "two-rows": (2, big), "one-column": (big, 1)}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, v)) < draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):  # an empty row and a one-entry row
+        mask[0] = False
+        mask[-1] = np.arange(v) == rng.integers(v)
+    values = (rng.choice([-1.0, 1.0], (n, v)) * rng.uniform(1, 10, (n, v))
+              * 10.0 ** rng.integers(-3, 3, (n, v)))
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    rows = CorpusRows(values[mask], np.nonzero(mask)[1].astype(index),
+                      np.append(0, np.cumsum(mask.sum(axis=1))).astype(index),
+                      (n, v))
+    return rows, sp.csr_matrix(rows[:3], shape=(n, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_rows(), st.integers(1, 6))
+def test_sparse_products_are_scipys_bytes(case, m):
+    """AᵀA, AAᵀ, Aᵀ's rows and Aᵀu are the bytes of scipy's products,
+    which fit_svd's basis bits have come from."""
+    rows, a = case
+    assert _gram(rows).tobytes() == (a.T @ a).toarray().tobytes()
+    t = _transpose(rows)
+    want = a.T.tocsr()
+    assert t.shape == want.shape
+    for got, ref in zip(t[:3], (want.data, want.indices, want.indptr)):
+        assert np.array_equal(got, ref)
+    assert _gram(t).tobytes() == (a @ a.T).toarray().tobytes()
+    u = np.random.default_rng(m).standard_normal((a.shape[0], m))
+    assert _transpose_times(rows, u).tobytes() == np.asarray(
+        a.T @ u).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_rows(), st.integers(1, 45))
+def test_fit_svd_is_the_scipy_products_basis(case, k):
+    rows, a = case
+    got, want = fit_svd(rows, k), scipy_fit_svd(a, k)
+    assert got.components.tobytes() == want.components.tobytes()
+    assert got.singular_values.tobytes() == want.singular_values.tobytes()
+
+
 def test_project_zero_vector():
     a = sp.csr_matrix(np.eye(4))
     basis = fit_svd(a, k=2)
@@ -272,7 +337,8 @@ def test_project_zero_vector():
 
 
 def test_project_basis_row_gives_unit_coordinate():
-    a = sp.random(20, 30, density=0.3, random_state=np.random.RandomState(3))
+    a = sp.random(20, 30, density=0.3,
+                  random_state=np.random.RandomState(3)).tocsr()
     basis = fit_svd(a, k=4)
     for i in range(basis.k):
         out = project_text(basis, as_triple(basis.components[i]))
@@ -635,8 +701,8 @@ def test_exact_basis_matches_randomized_oracle_on_pinned_corpus():
     fz = Featurizer(FeaturizerConfig(svd_components=24))
     exact = pinned_corpus_matrices(fz)
     recs, _, _ = make_records(240, seed=17)
-    tfidf = transform_text_corpus(
-        fz.text_state, [cq(r.query_text) for r in recs[:160]])
+    tfidf = as_matrix(transform_text_corpus(
+        fz.text_state, [cq(r.query_text) for r in recs[:160]]))
     fz.svd_basis = randomized_fit_svd(tfidf, 24)
     oracle = pinned_corpus_matrices(fz, fit=False)
     k = fz.svd_basis.k

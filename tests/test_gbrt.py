@@ -680,3 +680,25 @@ def test_from_state_accepts_threshold_at_last_value_bin():
     forest = Forest.from_state(meta, arrays)
     x = np.array([[0.99, 0.99], [np.nan, np.nan]])
     assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_from_state_bounds_b0_plus_the_largest_leaves(sign):
+    """|b0| plus the learning rate times each tree's largest |leaf value|
+    must stay below log(float max), so that no prediction overflows expm1:
+    a hair below loads, a hair above is refused."""
+    x = np.linspace(0, 1, 200).reshape(-1, 2)
+    config = small_config(iterations=4)
+    meta, arrays = gbrt.fit(x, x[:, 0] * 3, config).get_state()
+    leaf = np.where(arrays["node_feature"] < 0, np.abs(arrays["node_value"]),
+                    0.0)
+    reach = config.learning_rate * sum(
+        leaf[s:e].max() for s, e in zip(arrays["tree_offsets"],
+                                         arrays["tree_offsets"][1:]))
+    log_max = np.log(np.finfo(np.float64).max)
+    forest = Forest.from_state({**meta, "b0": sign * (log_max - reach - 1e-9)},
+                               arrays)
+    assert np.isfinite(np.expm1(forest.predict(x))).all()
+    with pytest.raises(CorruptBundle, match="overflow"):
+        Forest.from_state({**meta, "b0": sign * (log_max - reach + 1e-9)},
+                          arrays)

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,20 +212,43 @@ def test_predict_many_without_known_terms_or_optional_fields(
                    for res in batch)
 
 
-def test_scoring_builds_no_scipy_matrix(bundle, workload, monkeypatch):
-    """predict and predict_many featurize without a scipy sparse object."""
-    from slotcast import featurizer
-    want_many = predict_many(bundle, workload[:25])
-    want_one = [predict(bundle, r) for r in workload[:25]]
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import slotcast
+from slotcast.cli import main
+root = Path(sys.argv[1])
+(root / "q.sql").write_text("SELECT a FROM t GROUP BY a", encoding="utf-8")
+(root / "small.cfg").write_text(
+    "featurizer.svd_components = 8\\ngbrt.iterations = 5\\n", encoding="utf-8")
+data, bundle = str(root / "w.jsonl"), str(root / "m.sltb")
+codes = [
+    main(["analyze", "--query-file", str(root / "q.sql")]),
+    main(["synth", "--output", data, "--n-queries", "300", "--seed", "3"]),
+    main(["train", "--input", data, "--output-bundle", bundle,
+          "--config", str(root / "small.cfg")]),
+    main(["predict", "--bundle", bundle, "--input", data,
+          "--output", str(root / "p.tsv")]),
+    main(["advise", "--bundle", bundle, "--query-file", str(root / "q.sql"),
+          "--warn-threshold", "1e9"]),
+    main(["evaluate", "--bundle", bundle, "--input", data,
+          "--report-dir", str(root / "report")]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.startswith("scipy"))}))
+"""
 
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("scoring built a scipy sparse matrix")
 
-    monkeypatch.setattr(featurizer.sp, "csr_matrix", no_matrix)
-    monkeypatch.setattr(featurizer.sp, "csr_array", no_matrix)
-    assert predict_many(bundle, workload[:25]) == want_many
-    assert [predict(bundle, r) for r in workload[:25]] == want_one
-    assert want_many == want_one
+def test_no_command_imports_scipy(tmp_path):
+    """Importing slotcast and running every CLI command loads no scipy
+    module: slotcast runs on numpy alone."""
+    src = Path(predictor.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+        capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "scipy": []}
 
 
 def test_metadata_train_constants(bundle, workload):
