@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,10 +34,32 @@ from .sql_analyzer import CleanedQuery, ComplexityReport
 
 @dataclass(frozen=True)
 class TextVectorizerState:
+    """A fitted TF-IDF vocabulary. ``vocabulary`` maps each term (a token,
+    or two tokens joined by one space) to its column, as the bundle stores
+    it. transform_text looks tokens up in two tables derived from it once,
+    at construction: ``unigrams`` (token -> column) and ``bigrams``
+    ((token, token) -> column). A term that is not one token or exactly two
+    non-empty tokens, such as ``"A  B"`` or ``" A"``, is in neither table
+    and is never counted: cleaned tokens hold no spaces."""
     vocabulary: Dict[str, int]          # term -> column index
     doc_freq: np.ndarray                # int64, per column
     idf: np.ndarray                     # float64, per column
     n_docs: int
+    unigrams: Dict[str, int] = field(init=False, repr=False, compare=False)
+    bigrams: Dict[Tuple[str, str], int] = field(init=False, repr=False,
+                                                compare=False)
+
+    def __post_init__(self) -> None:
+        uni: Dict[str, int] = {}
+        bi: Dict[Tuple[str, str], int] = {}
+        for term, col in self.vocabulary.items():
+            head, space, tail = term.partition(" ")
+            if not space:
+                uni[term] = col
+            elif head and tail and " " not in tail:
+                bi[head, tail] = col
+        object.__setattr__(self, "unigrams", uni)
+        object.__setattr__(self, "bigrams", bi)
 
     @property
     def size(self) -> int:
@@ -80,13 +103,20 @@ def transform_text(state: TextVectorizerState,
                    corpus: Sequence[CleanedQuery]) -> TextRows:
     """One row per query, its columns strictly increasing: raw-count tf x
     idf, divided by the L2 norm of that row alone. Out-of-vocabulary terms
-    are ignored; a query without a known term gives an empty row."""
-    lookup = state.vocabulary.get
+    are ignored; a query without a known term gives an empty row.
+
+    Each token is looked up in ``state.unigrams`` and each adjacent pair in
+    ``state.bigrams``, keyed by the (token, token) tuple, so no bigram
+    string is built: as tokens hold no spaces, a column gets the same
+    count as a lookup of the space-joined terms in ``vocabulary``."""
+    uni, bi = state.unigrams.get, state.bigrams.get
     indptr = [0]
     cols: List[int] = []
     tf: List[int] = []
     for q in corpus:
-        counts = Counter(map(lookup, _terms(q)))
+        t = q.tokens
+        counts = Counter(chain(map(uni, t),
+                               map(bi, zip(t, islice(t, 1, None)))))
         counts.pop(None, None)
         row = sorted(counts)
         cols += row
@@ -181,13 +211,12 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
 
     ``tfidf_rows`` is anything with CSR ``data``, ``indices``, ``indptr``
     and ``shape`` (CorpusRows, a scipy CSR matrix). Rows must be canonical,
-    their columns strictly increasing, as transform_text makes them. The
-    Gram matrix then holds the same bytes as scipy's sparse product: AᵀA
-    adds row r's products in ascending r; AAᵀ adds column c's products in
-    ascending c, each column's rows ascending; and the components' Aᵀu adds
-    ``data_r * u[r]`` into the row's columns in ascending r. Rows whose
-    columns are distinct but unsorted give the same decomposition to
-    rounding.
+    their columns strictly increasing and inside 0..V-1, as transform_text
+    makes them; other rows raise DimensionMismatch. The Gram matrix then
+    holds the same bytes as scipy's sparse product: AᵀA adds row r's
+    products in ascending r; AAᵀ adds column c's products in ascending c,
+    each column's rows ascending; and the components' Aᵀu adds
+    ``data_r * u[r]`` into the row's columns in ascending r.
 
     Directions whose eigenvalue is at most lambda_max * max(n, V) * eps
     (numpy ``matrix_rank``'s cutoff, applied to the Gram matrix) are
@@ -202,6 +231,16 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
                    np.asarray(tfidf_rows.indptr), (n, v))
     if n < 2:
         raise DegenerateInput("SVD needs at least 2 rows")
+    # row r's column c as the key r * V + c: the keys rise strictly over
+    # the whole matrix exactly when each row's columns do, inside 0..V-1
+    cols = a.indices
+    keys = np.repeat(np.arange(n, dtype=np.int64) * v,
+                     np.diff(a.indptr)) + cols
+    if len(cols) and not (cols.min() >= 0 and cols.max() < v
+                          and (np.diff(keys) > 0).all()):
+        raise DimensionMismatch(
+            "rows must hold strictly increasing columns inside "
+            f"0..{v - 1}")
     tall = v <= n
     lam, vecs = np.linalg.eigh(_gram(a if tall else _transpose(a)))
     lam, vecs = lam[::-1], vecs[:, ::-1]  # descending

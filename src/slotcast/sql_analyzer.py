@@ -92,7 +92,13 @@ _LINE_COMMENT = re.compile(r"--[^\n]*")
 _BACKTICK_PATH = re.compile(r"`[^`]*`")
 _SINGLE_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'")
 _DOUBLE_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
-_NUMBER = re.compile(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b")
+# A number is \b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b, written to start on a
+# digit so that sre scans ahead to the next digit rather than trying a word
+# boundary at every position. The spans are the same: every \d is a \w in
+# Unicode re, so \b before a digit holds exactly when the character before it
+# is not a word character, which the lookbehind checks once that first digit
+# has matched.
+_NUMBER = re.compile(r"\d(?<!\w\d)\d*(?:\.\d+)?(?:[eE][+-]?\d+)?\b")
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]")
 
 

@@ -489,6 +489,11 @@ def naive_feature_rows(fz, records, reports, cleaned):
 # Query cleaning written out with re module calls
 # ---------------------------------------------------------------------------
 
+# a number as a word-bounded run of digits, the pattern clean_query's
+# digit-anchored _NUMBER must match span for span
+NUMBER_PATTERN = r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b"
+
+
 def regex_clean_query(raw_sql):
     """(text, tokens) for raw SQL: every substitution and the tokenizer
     written out with re module calls."""
@@ -497,7 +502,7 @@ def regex_clean_query(raw_sql):
     text = re.sub(r"`[^`]*`", " TABLE ", text)
     text = re.sub(r"'(?:[^'\\]|\\.)*'", " STR ", text)
     text = re.sub(r'"(?:[^"\\]|\\.)*"', " STR ", text)
-    text = re.sub(r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b", " NUM ", text)
+    text = re.sub(NUMBER_PATTERN, " NUM ", text)
     text = text.upper()
     tokens = tuple(re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[^\sA-Za-z0-9_]", text))
     return " ".join(tokens), tokens

@@ -31,8 +31,11 @@ from slotcast.featurizer import (
     transform_text,
     transform_text_corpus,
 )
+from slotcast.gbrt import GBRTConfig
+from slotcast.predictor import (TrainConfig, deserialize_bundle,
+                                serialize_bundle, train)
 from slotcast.records import QueryRecord
-from slotcast.sql_analyzer import clean_query, complexity_score
+from slotcast.sql_analyzer import CleanedQuery, clean_query, complexity_score
 from slotcast.synth import WorkloadConfig, generate
 
 from naive_oracles import (
@@ -236,7 +239,9 @@ def svd_inputs(draw):
         a = mix @ sp.random(r, v, density=density, rng=rng)
     else:
         a = sp.random(n, v, density=density, rng=rng)
-    return sp.csr_matrix(a), draw(st.integers(1, 45))
+    a = sp.csr_matrix(a)
+    a.sort_indices()  # a product's rows are unsorted; fit_svd takes canonical
+    return a, draw(st.integers(1, 45))
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,6 +332,20 @@ def test_fit_svd_is_the_scipy_products_basis(case, k):
     got, want = fit_svd(rows, k), scipy_fit_svd(a, k)
     assert got.components.tobytes() == want.components.tobytes()
     assert got.singular_values.tobytes() == want.singular_values.tobytes()
+
+
+@pytest.mark.parametrize("indices", [
+    [1, 0, 2],    # row 0's columns out of order
+    [0, 0, 2],    # row 0 holds column 0 twice: G[0,0] would be 4, not 9
+    [0, 3, 2],    # column 3 of a 3-column matrix
+    [0, -1, 2],
+], ids=["unsorted", "repeated", "past-last", "negative"])
+@pytest.mark.parametrize("n", [2, 4])  # the AAᵀ and the AᵀA path
+def test_fit_svd_rejects_rows_that_are_not_canonical(indices, n):
+    rows = CorpusRows(np.array([1.0, 2.0, 3.0]), np.array(indices),
+                      np.array([0, 2] + [3] * (n - 1)), (n, 3))
+    with pytest.raises(DimensionMismatch):
+        fit_svd(rows, 2)
 
 
 def test_project_zero_vector():
@@ -671,6 +690,51 @@ def test_transform_text_batch_matches_per_row_oracle():
         assert m[i].toarray().tobytes() == row.toarray().tobytes()
         assert proj[i].tobytes() == naive_project_text(
             fz.svd_basis, row).tobytes()
+
+
+@lru_cache(maxsize=None)
+def text_states():
+    """A fitted text state and one read back from a signed bundle."""
+    recs = generate(WorkloadConfig(n_queries=200, seed=13))
+    bundle = train(recs, TrainConfig(
+        featurizer=FeaturizerConfig(svd_components=8),
+        gbrt=GBRTConfig(iterations=3, min_samples_leaf=5)))
+    loaded = deserialize_bundle(serialize_bundle(bundle))
+    return bundle.featurizer.text_state, loaded.featurizer.text_state
+
+
+@st.composite
+def token_streams(draw):
+    """(a text state, cleaned queries over its tokens and unknown ones):
+    empty and one-token queries, and repeated runs, so repeated bigrams."""
+    state = text_states()[draw(st.integers(0, 1))]
+    known = sorted(t for t in state.vocabulary if " " not in t)
+    token = st.one_of(st.sampled_from(known),
+                      st.sampled_from(["ZZYZX", "#", "NUM", "_Q1", "\u00c9"]))
+    corpus = []
+    for _ in range(draw(st.integers(0, 5))):
+        toks = draw(st.lists(token, max_size=12))
+        corpus.append(CleanedQuery(tuple(toks * draw(st.integers(1, 3)))))
+    return state, corpus
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_streams())
+def test_term_lookups_match_joined_term_oracle(case):
+    """Looking tokens and token pairs up in the derived tables counts each
+    column as often as the space-joined terms' lookup in the vocabulary."""
+    state, corpus = case
+    got = tfidf_matrix(state, corpus)
+    for i, q in enumerate(corpus):
+        want = naive_transform_text(state, q)
+        assert got[i].toarray().tobytes() == want.toarray().tobytes()
+
+
+def test_text_states_read_back_with_the_same_tables():
+    fitted, loaded = text_states()
+    assert len(fitted.unigrams) + len(fitted.bigrams) == fitted.size
+    assert loaded.unigrams == fitted.unigrams
+    assert loaded.bigrams == fitted.bigrams
 
 
 def pinned_corpus_matrices(fz, fit=True):

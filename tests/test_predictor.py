@@ -33,9 +33,12 @@ from slotcast.predictor import (
     train,
     transform_target,
 )
-from slotcast.featurizer import FeaturizerConfig
+from slotcast.featurizer import FeaturizerConfig, transform_text
 from slotcast.records import QueryRecord
+from slotcast.sql_analyzer import clean_query
 from slotcast.synth import OperatorPlan, WorkloadConfig, generate, render_query
+
+from naive_oracles import naive_transform_text
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +334,44 @@ def resigned(data: bytes, name: str, edit) -> bytes:
             body[offset:offset + nbytes] = arr.tobytes()
         offset += nbytes
     return bytes(body) + hashlib.sha256(body).digest()
+
+
+def resigned_header(data: bytes, edit) -> bytes:
+    """The bundle with its JSON header edited and the SHA-256 trailer
+    recomputed."""
+    header_len = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:16 + header_len])
+    edit(header)
+    new = json.dumps(header, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    body = (data[:8] + len(new).to_bytes(8, "little") + new
+            + data[16 + header_len:-32])
+    return body + hashlib.sha256(body).digest()
+
+
+def test_vocabulary_terms_no_cleaned_query_forms_are_never_counted(
+        bundle, workload):
+    """A term with two spaces in a row, a leading space or three tokens
+    loads, but no cleaned query's token or token pair ever counts it."""
+    dead = ["A  B", " A", "A B C"]
+
+    def plant(header):
+        header["featurizer"]["vocabulary"][-3:] = dead
+
+    loaded = deserialize_bundle(resigned_header(serialize_bundle(bundle),
+                                                plant))
+    state = loaded.featurizer.text_state
+    cols = [state.vocabulary[t] for t in dead]
+    corpus = [clean_query(t) for t in ("A  B", " A", "A B C", "a b c",
+                                       "B A  B C", "A B")]
+    corpus += [clean_query(r.query_text) for r in workload[:50]]
+    data, indices, indptr = transform_text(state, corpus)
+    assert not np.isin(indices, cols).any()
+    for i, q in enumerate(corpus):
+        want = naive_transform_text(state, q)
+        s, e = indptr[i], indptr[i + 1]
+        assert np.array_equal(indices[s:e], want.indices)
+        assert data[s:e].tobytes() == want.data.tobytes()
 
 
 def test_resigned_bundle_with_flipped_child_id_rejected(bundle):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotcast.sql_analyzer import (
+    _NUMBER,
     DEFAULT_WEIGHTS,
     OPERATOR_KINDS,
     CleanedQuery,
@@ -15,8 +18,8 @@ from slotcast.sql_analyzer import (
 )
 from slotcast.synth import OperatorPlan, render_query, _plan_for
 
-from naive_oracles import (chain_count_operators, naive_operator_counts,
-                           regex_clean_query)
+from naive_oracles import (NUMBER_PATTERN, chain_count_operators,
+                           naive_operator_counts, regex_clean_query)
 
 
 def counts_of(**kwargs):
@@ -89,6 +92,46 @@ def test_clean_query_matches_regex_classifier(raw):
     assert " ".join(q.tokens) == text
     assert q == CleanedQuery(tokens)
     assert hash(q) == hash(CleanedQuery(tokens))
+
+
+# digits of several scripts (\d in Unicode re), word characters that are not
+# digits, characters that are neither, and the parts of a number's syntax
+DIGITS = ("0", "1", "9", "\u0663", "\uff17")  # ASCII, Arabic-Indic, full-width
+NON_DIGIT_WORD = ("a", "e", "E", "_", "\u00e9", "\u0131", "\u0345",
+                  "\u00b2", "\u2460")  # ², ① are \w but not \d
+NUMBER_SYNTAX = (".", "+", "-", " ", ",", "(", "'")
+digit_heavy_text = st.lists(
+    st.one_of(
+        st.sampled_from(DIGITS + NON_DIGIT_WORD + NUMBER_SYNTAX),
+        st.sampled_from(("_1", "1_", "1.5e+3x", "1.5.3", "9e", "x1", "12e-4",
+                         "3.", ".5", "1e5", "\u00e91", "1\u00e9",
+                         "\u0131\u0663", "SELECT ", "NUM"))),
+    max_size=24).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_heavy_text)
+def test_number_masking_matches_word_bounded_pattern(raw):
+    """_NUMBER starts on a digit and looks back for a word character, but
+    masks exactly the spans of the word-bounded pattern, whatever digits
+    and word characters stand around a number."""
+    want = [m.span() for m in re.finditer(NUMBER_PATTERN, raw)]
+    assert [m.span() for m in _NUMBER.finditer(raw)] == want
+    assert clean_query(raw).tokens == regex_clean_query(raw)[1]
+
+
+# a digit run with a word character on either side is no number; the
+# tokenizer then drops its digits
+@pytest.mark.parametrize("raw,tokens", [
+    ("_1 1_ x1", ("_1", "_", "X1")),
+    ("1.5e+3x", ("NUM", ".", "E", "+", "X")),
+    ("1.5.3", ("NUM", ".", "NUM")),
+    ("9e", ("E",)),
+    ("7 = \u0663\u0664", ("NUM", "=", "NUM")),
+    ("\u00e91 + 2", ("\u00c9", "+", "NUM")),
+])
+def test_number_masking_examples(raw, tokens):
+    assert clean_query(raw).tokens == tokens
 
 
 # ---------------------------------------------------------------------------
