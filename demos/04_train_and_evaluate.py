@@ -23,7 +23,7 @@ def main():
 
     bundle = train(train_records, TrainConfig())
     print(f"route counts: {bundle.metadata['route_counts']}, "
-          f"fallbacks: {bundle.metadata['fallback_routes']}")
+          f"fallbacks: {bundle.fallback_routes}")
 
     results = predict_many(bundle, test_records)
     actual = np.array([r.slot_min for r in test_records])

@@ -50,11 +50,14 @@ _DDL_KEYWORDS = {"CREATE", "ALTER", "DROP"}
 @dataclass
 class IngestStats:
     read: int = 0
-    kept: int = 0
     dropped: Dict[str, int] = field(default_factory=lambda: {
         "ddl": 0, "timeout": 0, "anomalous": 0, "empty": 0, "malformed": 0})
     # 0-based position of each kept record among the non-blank input lines
     positions: List[int] = field(default_factory=list)
+
+    @property
+    def kept(self) -> int:
+        return len(self.positions)
 
     def balanced(self) -> bool:
         return self.read == self.kept + sum(self.dropped.values())
@@ -104,7 +107,6 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
                     continue
             records.append(rec)
             stats.positions.append(stats.read - 1)
-            stats.kept += 1
     return records, stats
 
 
@@ -204,7 +206,7 @@ def _cmd_train(args) -> int:
         f"records kept: {stats.kept}",
         f"dropped: {stats.dropped}",
         f"route counts: {bundle.metadata['route_counts']}",
-        f"fallback routes: {bundle.metadata['fallback_routes']}",
+        f"fallback routes: {bundle.fallback_routes}",
         f"bundle: {args.output_bundle}",
     ]
     text = "\n".join(summary)

@@ -57,6 +57,10 @@ class MalformedRecord(SlotcastError):
     """A JSONL line could not be parsed into a QueryRecord."""
 
 
+class NonFiniteFeatures(SlotcastError, ValueError):
+    """A feature row holds NaN or Inf, e.g. from a loaded model's scaling."""
+
+
 class ConfigError(SlotcastError, ValueError):
     """A config file has a malformed line or an unknown key, or a config
     setting is of the wrong type, not finite or out of range."""

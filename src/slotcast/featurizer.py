@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCorpus,
     LengthMismatch,
+    NonFiniteFeatures,
     StateNotFitted,
 )
 from .records import QueryRecord
@@ -40,11 +41,12 @@ class TextVectorizerState:
     at construction: ``unigrams`` (token -> column) and ``bigrams``
     ((token, token) -> column). A term that is not one token or exactly two
     non-empty tokens, such as ``"A  B"`` or ``" A"``, is in neither table
-    and is never counted: cleaned tokens hold no spaces."""
+    and is never counted: cleaned tokens hold no spaces. The smoothed
+    ``idf`` is derived the same way, from ``doc_freq`` and ``n_docs``."""
     vocabulary: Dict[str, int]          # term -> column index
     doc_freq: np.ndarray                # int64, per column
-    idf: np.ndarray                     # float64, per column
     n_docs: int
+    idf: np.ndarray = field(init=False, repr=False, compare=False)
     unigrams: Dict[str, int] = field(init=False, repr=False, compare=False)
     bigrams: Dict[Tuple[str, str], int] = field(init=False, repr=False,
                                                 compare=False)
@@ -60,6 +62,8 @@ class TextVectorizerState:
                 bi[head, tail] = col
         object.__setattr__(self, "unigrams", uni)
         object.__setattr__(self, "bigrams", bi)
+        object.__setattr__(self, "idf", np.log(
+            (1.0 + self.n_docs) / (1.0 + self.doc_freq)) + 1.0)
 
     @property
     def size(self) -> int:
@@ -89,9 +93,8 @@ def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
     vocabulary = {t: i for i, t in enumerate(kept)}
     n = len(corpus)
     doc_freq = np.array([df[t] for t in kept], dtype=np.int64)
-    idf = np.log((1.0 + n) / (1.0 + doc_freq)) + 1.0
     return TextVectorizerState(vocabulary=vocabulary, doc_freq=doc_freq,
-                               idf=idf, n_docs=n)
+                               n_docs=n)
 
 
 # scipy's CSR triple (data, indices, indptr), with no matrix object: row i
@@ -490,7 +493,7 @@ class Featurizer:
                       for get, slot, other in self._one_hot
                       for i, v in enumerate(map(get, records))], 1.0)
         if not np.isfinite(rows).all():
-            raise ValueError("non-finite entries in feature matrix")
+            raise NonFiniteFeatures("non-finite entries in feature matrix")
         return FeatureMatrix(rows=rows, column_names=list(self.column_names))
 
     # -- serialization ------------------------------------------------------
@@ -507,11 +510,9 @@ class Featurizer:
             "asset_count_keys": self.asset_count_keys,
             "category_maps": self.category_maps,
             "impute_medians": self.impute_medians,
-            "column_names": self.column_names,
         }
         arrays = {
             "doc_freq": self.text_state.doc_freq,
-            "idf": self.text_state.idf,
             "svd_components": self.svd_basis.components,
             "svd_singular_values": self.svd_basis.singular_values,
             "num_mean": self.num_mean,
@@ -521,20 +522,22 @@ class Featurizer:
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Featurizer":
-        """Inverse of get_state. Raises CorruptBundle unless the state can
-        transform a record: the medians and category maps cover exactly
-        their fields, the vocabulary, idf and SVD basis agree on size, the
-        scaling arrays fit the numeric block, the column names are the
-        ones this state lays out, every model number is finite and each
+        """Inverse of get_state; the idf and column names are derived.
+        Raises CorruptBundle unless the state can transform a record:
+        document frequencies are whole numbers in 1..n_docs, which bounds
+        each idf by 1 + ln(1 + n_docs), the medians and category maps cover
+        exactly their fields, the text arrays agree on size, the scaling
+        arrays fit the numeric block, every model number is finite and each
         numeric spread is positive (fit sets a zero spread to 1)."""
         fz = cls(from_dict(FeaturizerConfig, meta["config"]))
-        vocab = {t: i for i, t in enumerate(meta["vocabulary"])}
+        doc_freq, n_docs = arrays["doc_freq"], int(meta["n_docs"])
+        if not (doc_freq.dtype.kind in "iu"
+                and np.all((doc_freq >= 1) & (doc_freq <= n_docs))):
+            raise CorruptBundle("featurizer: a document frequency is not a "
+                                "whole number in 1..n_docs")
         fz.text_state = TextVectorizerState(
-            vocabulary=vocab,
-            doc_freq=arrays["doc_freq"],
-            idf=arrays["idf"],
-            n_docs=int(meta["n_docs"]),
-        )
+            vocabulary={t: i for i, t in enumerate(meta["vocabulary"])},
+            doc_freq=doc_freq, n_docs=n_docs)
         fz.svd_basis = SvdBasis(components=arrays["svd_components"],
                                 singular_values=arrays["svd_singular_values"])
         fz.asset_count_keys = list(meta["asset_count_keys"])
@@ -542,20 +545,19 @@ class Featurizer:
         fz.impute_medians = {k: float(v) for k, v in meta["impute_medians"].items()}
         fz.num_mean = arrays["num_mean"]
         fz.num_std = arrays["num_std"]
-        fz.column_names = list(meta["column_names"])
         fz._fitted = True
         text, basis = fz.text_state, fz.svd_basis
         n_num = len(fz._numeric_names())
         if not (set(fz.impute_medians) == set(_OPTIONAL_FIELDS)
                 and set(fz.category_maps) == set(_CATEGORICAL_FIELDS)
-                and text.doc_freq.shape == text.idf.shape == (text.size,)
+                and text.doc_freq.shape == (text.size,)
                 and basis.components.ndim == 2
                 and basis.components.shape[1] == text.size
                 and basis.singular_values.shape == (basis.k,)
-                and fz.num_mean.shape == fz.num_std.shape == (n_num,)
-                and fz.column_names == fz._layout()):
+                and fz.num_mean.shape == fz.num_std.shape == (n_num,)):
             raise CorruptBundle("featurizer: state arrays and names disagree")
-        numbers = (text.idf, basis.components, basis.singular_values,
+        fz.column_names = fz._layout()
+        numbers = (basis.components, basis.singular_values,
                    fz.num_mean, fz.num_std, list(fz.impute_medians.values()))
         if not (all(np.isfinite(a).all() for a in numbers)
                 and (fz.num_std > 0).all()):

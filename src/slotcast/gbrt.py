@@ -438,8 +438,7 @@ class Forest:
     def get_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         edges = self.bin_mapper.bin_edges
         edge_offsets = np.cumsum([0] + [e.size for e in edges]).astype(np.int64)
-        meta = {"config": to_dict(self.config), "b0": self.b0,
-                "n_trees": self.n_trees}
+        meta = {"config": to_dict(self.config), "b0": self.b0}
         arrays = {k: getattr(self, k) for k in _NODE_ARRAYS + ("train_losses",)}
         arrays["edge_values"] = np.concatenate(edges) if edges else np.empty(0)
         arrays["edge_offsets"] = edge_offsets
@@ -462,7 +461,7 @@ class Forest:
         if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
                 and all(a.dtype.kind in "iu" for a in (f, t, lft, rgt, off, eo))
                 and t.size == lft.size == rgt.size == val.size == f.size
-                and off.size == int(meta["n_trees"]) + 1 > 0 and off[0] == 0
+                and off.size > 0 and off[0] == 0
                 and off[-1] == f.size and np.all(np.diff(off) > 0)
                 and eo.size > 0 and eo[0] == 0 and eo[-1] == ev.size
                 and np.all((np.diff(eo) >= 0) & (np.diff(eo) < _BINS - 1))):

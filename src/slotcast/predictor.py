@@ -13,7 +13,7 @@ import json
 import struct
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,10 +33,12 @@ from .sql_analyzer import clean_query, complexity_score
 
 # 2: the featurizer config no longer holds svd_seed, svd_oversample and
 # svd_power_iters (the text SVD is exact)
-FORMAT_VERSION = 2
+# 3: each fact is stored once: loading derives the idf, column names, tree
+# counts and fallback routes; the header drops its copies of the format
+# version, train config, seed and record count
+FORMAT_VERSION = 3
 _MAGIC = b"SLTB"
-_HEADER_KEYS = {"format_version", "router", "metadata", "featurizer",
-                "forests", "arrays"}
+_HEADER_KEYS = {"router", "metadata", "featurizer", "forests", "arrays"}
 
 ROUTE_SIMPLE = "simple"
 ROUTE_COMPLEX = "complex"
@@ -97,11 +99,16 @@ class PredictionResult:
 
 @dataclass
 class ModelBundle:
-    format_version: int
     featurizer: Featurizer
     router: Router
     forests: Dict[str, Forest]
     metadata: dict
+
+    @property
+    def fallback_routes(self) -> List[str]:
+        """The routes, in routing order, that the unified forest scores."""
+        return [r for r in (ROUTE_SIMPLE, ROUTE_COMPLEX)
+                if r not in self.forests]
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +120,7 @@ def train(records: Sequence[QueryRecord],
     """Fit the shared featurizer and the complexity-routed forests.
 
     Routes with fewer than ``router.min_subset`` records fall back to a
-    unified forest trained on all records; the fallback is recorded in
-    bundle metadata.
+    unified forest trained on all records (``ModelBundle.fallback_routes``).
     """
     config = config or TrainConfig()
     n = len(records)
@@ -134,31 +140,22 @@ def train(records: Sequence[QueryRecord],
         ROUTE_COMPLEX: np.where(scores >= config.router.threshold)[0],
     }
     forests: Dict[str, Forest] = {}
-    fallbacks: List[str] = []
     for route, idx in routes.items():
         if idx.size >= max(config.router.min_subset,
                            2 * config.gbrt.min_samples_leaf):
             forests[route] = gbrt.fit(matrix.rows[idx], y[idx], config.gbrt)
-        else:
-            fallbacks.append(route)
-    if fallbacks:
+    if len(forests) < len(routes):
         forests[ROUTE_UNIFIED] = gbrt.fit(matrix.rows, y, config.gbrt)
 
     actual_slot = np.expm1(y)
     metadata = {
-        "config": {f.name: to_dict(getattr(config, f.name))
-                   for f in fields(config)},
-        "seed": config.gbrt.seed,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "n_records": n,
         "route_counts": {r: int(i.size) for r, i in routes.items()},
-        "fallback_routes": fallbacks,
         "train_target_mean": float(actual_slot.mean()),
         "train_target_median": float(np.median(actual_slot)),
     }
-    return ModelBundle(format_version=FORMAT_VERSION, featurizer=featurizer,
-                       router=config.router, forests=forests,
-                       metadata=metadata)
+    return ModelBundle(featurizer=featurizer, router=config.router,
+                       forests=forests, metadata=metadata)
 
 
 def _forest_for_route(bundle: ModelBundle, route: str) -> Forest:
@@ -211,7 +208,6 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
 
     ordered = sorted(arrays)
     header = {
-        "format_version": bundle.format_version,
         "router": to_dict(bundle.router),
         "metadata": bundle.metadata,
         "featurizer": fz_meta,
@@ -222,7 +218,7 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<I", bundle.format_version),
+    parts = [_MAGIC, struct.pack("<I", FORMAT_VERSION),
              struct.pack("<Q", len(header_bytes)), header_bytes]
     for k in ordered:
         a = np.ascontiguousarray(arrays[k])
@@ -261,19 +257,15 @@ def deserialize_bundle(data: bytes) -> ModelBundle:
         raise CorruptBundle(f"header lacks {', '.join(sorted(missing))}")
     if not isinstance(header["metadata"], dict):
         raise CorruptBundle("header metadata is not a JSON object")
-    if header["format_version"] != version:
-        raise CorruptBundle("header and file disagree on the format version")
     try:
-        return _bundle_from_header(
-            header, memoryview(body)[16 + header_len:], version)
+        return _bundle_from_header(header, memoryview(body)[16 + header_len:])
     except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         # a header the checksum vouches for but not in the shape written
         raise CorruptBundle(f"malformed header: {exc!r}") from exc
 
 
-def _bundle_from_header(header: dict, payload: memoryview,
-                        version: int) -> ModelBundle:
+def _bundle_from_header(header: dict, payload: memoryview) -> ModelBundle:
     offset = 0
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
@@ -311,7 +303,7 @@ def _bundle_from_header(header: dict, payload: memoryview,
         if forests[route].n_features != len(featurizer.column_names):
             raise CorruptBundle(f"forest {route} and featurizer disagree on "
                                 "the feature width")
-    return ModelBundle(format_version=version, featurizer=featurizer,
+    return ModelBundle(featurizer=featurizer,
                        router=from_dict(Router, header["router"]),
                        forests=forests, metadata=metadata)
 

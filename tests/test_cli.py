@@ -535,7 +535,7 @@ def _forest_config(field, value):
 
 
 @pytest.mark.parametrize("edit", [
-    _drop("format_version"), _drop("router"), _drop("metadata"),
+    _drop("router"), _drop("metadata"),
     _drop("featurizer"), _drop("forests"), _drop("arrays"),
     lambda h: h["router"].update(extra=1),
     lambda h: h["router"].pop("threshold"),
@@ -557,8 +557,6 @@ def _forest_config(field, value):
     lambda h: h["featurizer"]["asset_count_keys"].append("extra"),
     lambda h: h["featurizer"].update(
         vocabulary=h["featurizer"]["vocabulary"][5:]),
-    lambda h: h["featurizer"].update(
-        column_names=h["featurizer"]["column_names"][3:]),
     lambda h: h["forests"].pop("complex"),
     _rename_route("complex", "spare"),
     lambda h: h["metadata"].pop("train_target_mean"),
@@ -567,7 +565,7 @@ def _forest_config(field, value):
     lambda h: h["metadata"].update(train_target_median="3.5"),
     lambda h: h["metadata"].update(train_target_mean=10**400),
     lambda h: next(iter(h["forests"].values())).update(b0=10**400),
-], ids=["no-format_version", "no-router", "no-metadata", "no-featurizer",
+], ids=["no-router", "no-metadata", "no-featurizer",
         "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
         "router-threshold-string",
         "metadata-list", "featurizer-missing-key", "array-spec-no-dtype",
@@ -580,7 +578,7 @@ def _forest_config(field, value):
         "featurizer-config-unknown-key",
         "featurizer-impute_medians-empty", "featurizer-category_maps-no-region",
         "featurizer-extra-asset-count-key", "featurizer-vocabulary-short",
-        "featurizer-column_names-short", "forests-no-complex",
+        "forests-no-complex",
         "forests-unknown-route", "metadata-no-train_target_mean",
         "metadata-no-train_target_median", "metadata-train_target_mean-nan",
         "metadata-train_target_median-string",
@@ -632,11 +630,19 @@ def _impute_median(value):
     return edit
 
 
+def _text_state(name, value):
+    """Replace a field of the model's frozen TF-IDF state; ``value`` maps
+    the state to the new field value."""
+    def edit(model):
+        state = model.featurizer.text_state
+        object.__setattr__(state, name, value(state))
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _model_array("featurizer.num_std", np.nan),
     _model_array("featurizer.num_std", 0.0, index=1),
     _model_array("featurizer.num_mean", np.inf),
-    _model_array("featurizer.text_state.idf", np.nan),
     _model_array("featurizer.svd_basis.components", np.nan),
     _model_array("featurizer.svd_basis.singular_values", np.nan),
     _impute_median(np.nan),
@@ -644,16 +650,24 @@ def _impute_median(value):
     _leaf_value(np.nan, leaf=False),
     _leaf_value(1e300),
     _b0(np.inf), _b0(-np.inf), _b0(np.nan), _b0(709.0),
-], ids=["num_std-nan", "num_std-zero", "num_mean-inf", "idf-nan",
+    _model_array("featurizer.text_state.doc_freq", 0),
+    _text_state("doc_freq", lambda s: s.doc_freq + s.n_docs),
+    _text_state("doc_freq", lambda s: s.doc_freq.astype(np.float64)),
+    _text_state("n_docs", lambda s: 0),
+    _text_state("n_docs", lambda s: 10**400),
+], ids=["num_std-nan", "num_std-zero", "num_mean-inf",
         "svd_components-nan", "svd_singular_values-nan",
         "impute_medians-nan", "leaf-value-nan", "inner-node-value-nan",
         "leaf-value-1e300", "b0-inf", "b0-minus-inf", "b0-nan",
-        "b0-709-with-leaves"])
+        "b0-709-with-leaves", "doc_freq-zero", "doc_freq-above-n_docs",
+        "doc_freq-float", "n_docs-zero", "n_docs-beyond-float"])
 def test_resigned_non_finite_model_number_is_io_error(trained, tmp_path,
                                                       capsys, edit):
     """A model number edited in memory and saved with a valid checksum:
-    loading refuses a non-finite number, a non-positive spread and a forest
-    whose prediction could overflow expm1."""
+    loading refuses a non-finite number, a non-positive spread, a forest
+    whose prediction could overflow expm1 and a document frequency that is
+    not a whole number in 1..n_docs (the idf derived from it could then be
+    negative, infinite or too large to score)."""
     _, data, bundle = trained
     model = load_bundle(bundle)
     edit(model)
@@ -662,6 +676,29 @@ def test_resigned_non_finite_model_number_is_io_error(trained, tmp_path,
     assert main(["predict", "--bundle", str(bad), "--input", str(data),
                  "--output", str(tmp_path / "p.tsv")]) == EXIT_IO
     assert capsys.readouterr().err.startswith("file error: ")
+
+
+@pytest.mark.parametrize("command", ["advise", "predict"])
+def test_non_finite_feature_row_is_domain_error(trained, tmp_path, capsys,
+                                                command):
+    """A numeric spread of 5e-324 is finite and positive, so the bundle
+    loads; but scaling then overflows a feature to inf. Scoring stops with
+    exit 1 and a one-line error, not a traceback."""
+    _, data, bundle = trained
+    model = load_bundle(bundle)
+    model.featurizer.num_std[:] = 5e-324
+    tiny = tmp_path / "tiny-std.sltb"
+    save_bundle(model, tiny)
+    qf = tmp_path / "q.sql"
+    qf.write_text("SELECT a, b FROM t WHERE c = 1", encoding="utf-8")
+    argv = {"advise": ["advise", "--bundle", str(tiny), "--query-file",
+                       str(qf), "--warn-threshold", "1"],
+            "predict": ["predict", "--bundle", str(tiny), "--input",
+                        str(data), "--output", str(tmp_path / "p.tsv")]}
+    assert main(argv[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: non-finite entries in feature matrix\n"
+    assert captured.out == ""
 
 
 def test_corrupt_bundle_is_io_error(trained, tmp_path, capsys):
@@ -704,18 +741,23 @@ def test_version_mismatch_exit_code(trained, tmp_path, capsys):
     assert "bundle version error" in capsys.readouterr().err
 
 
-def test_format_one_bundle_is_version_error(trained, tmp_path, capsys):
-    """A format-1 bundle holds the retired SVD config keys: it asks for a
-    retrain rather than failing on its header."""
-    def as_format_one(header):
-        header["format_version"] = 1
-        header["featurizer"]["config"].update(
-            svd_seed=0, svd_oversample=10, svd_power_iters=4)
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_format_bundle_is_version_error(trained, tmp_path, capsys,
+                                            version):
+    """A format-1 bundle holds the retired SVD config keys, and a format-2
+    one stores facts that format 3 derives, such as its format version in
+    the header: either asks for a retrain rather than failing on its
+    header."""
+    def as_old_format(header):
+        header["format_version"] = version
+        if version == 1:
+            header["featurizer"]["config"].update(
+                svd_seed=0, svd_oversample=10, svd_power_iters=4)
 
     _, data, bundle = trained
-    raw = resigned_header(bundle.read_bytes(), as_format_one)
-    body = raw[:4] + (1).to_bytes(4, "little") + raw[8:-32]
-    old = tmp_path / "v1.sltb"
+    raw = resigned_header(bundle.read_bytes(), as_old_format)
+    body = raw[:4] + version.to_bytes(4, "little") + raw[8:-32]
+    old = tmp_path / f"v{version}.sltb"
     old.write_bytes(body + hashlib.sha256(body).digest())
     assert main(["predict", "--bundle", str(old), "--input", str(data),
                  "--output", str(tmp_path / "p.tsv")]) == EXIT_VERSION

@@ -537,6 +537,7 @@ def test_state_roundtrip_bit_exact_transform():
     m1 = fz.transform(recs, reports, cleaned)
     m2 = fz2.transform(recs, reports, cleaned)
     assert np.array_equal(m1.rows, m2.rows)
+    assert m2.column_names == m1.column_names  # laid out again on load
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotcast import gbrt, predictor
 from slotcast.errors import (
     BundleVersionMismatch,
     CorruptBundle,
     NegativeTarget,
+    NonFiniteFeatures,
     TooFewSamples,
 )
 from slotcast.gbrt import GBRTConfig
@@ -123,7 +126,7 @@ def test_dual_route_training(bundle):
     counts = bundle.metadata["route_counts"]
     assert counts[ROUTE_SIMPLE] >= 50 and counts[ROUTE_COMPLEX] >= 50
     assert set(bundle.forests) == {ROUTE_SIMPLE, ROUTE_COMPLEX}
-    assert bundle.metadata["fallback_routes"] == []
+    assert bundle.fallback_routes == []
 
 
 def test_fallback_to_unified_when_subset_small(small_train_config):
@@ -133,7 +136,7 @@ def test_fallback_to_unified_when_subset_small(small_train_config):
                                       long_tail_fraction=0.05,
                                       heavy_mid_fraction=0.0))
     b = train(records, small_train_config)
-    assert ROUTE_COMPLEX in b.metadata["fallback_routes"]
+    assert b.fallback_routes == [ROUTE_COMPLEX]
     assert ROUTE_UNIFIED in b.forests
     complex_rec = next(r for r in records
                        if b.router.route(
@@ -268,6 +271,9 @@ def test_metadata_train_constants(bundle, workload):
 
 def test_bundle_round_trip_bit_exact(bundle, workload):
     restored = deserialize_bundle(serialize_bundle(bundle))
+    # the idf is derived on load, from the stored doc_freq and n_docs
+    assert (restored.featurizer.text_state.idf.tobytes()
+            == bundle.featurizer.text_state.idf.tobytes())
     fixture = workload[:100]
     before = predict_many(bundle, fixture)
     after = predict_many(restored, fixture)
@@ -491,3 +497,74 @@ def test_retrain_byte_identical(workload, small_train_config):
     b2 = train(workload, small_train_config)
     b2.metadata["created"] = b1.metadata["created"]
     assert serialize_bundle(b1) == serialize_bundle(b2)
+
+
+def test_writer_stores_only_what_the_reader_reads(bundle, fallback_bundle):
+    """Writing a loaded bundle again gives the same bytes, for a dual-route
+    bundle and a unified-fallback one: the file holds nothing that loading
+    drops or derives differently."""
+    for b in (bundle, fallback_bundle[0]):
+        data = serialize_bundle(b)
+        assert serialize_bundle(deserialize_bundle(data)) == data
+
+
+@pytest.fixture(scope="module")
+def held_out(bundle):
+    """Six rows the bundle was not trained on from each route."""
+    rows = generate(WorkloadConfig(n_queries=200, seed=8))
+    by_route = {ROUTE_SIMPLE: [], ROUTE_COMPLEX: []}
+    for r, res in zip(rows, predict_many(bundle, rows)):
+        by_route[res.route].append(r)
+    assert all(len(picked) >= 6 for picked in by_route.values())
+    return by_route[ROUTE_SIMPLE][:6] + by_route[ROUTE_COMPLEX][:6]
+
+
+@pytest.fixture(scope="module")
+def tamper(bundle):
+    """The serialized bundle's array specs with at least one entry, and a
+    function of (name, edit) giving it re-signed with that array edited
+    (a closure, so a failing example does not print the bundle)."""
+    data = serialize_bundle(bundle)
+    header_len = int.from_bytes(data[8:16], "little")
+    specs = json.loads(data[16:16 + header_len])["arrays"]
+    return ([s for s in specs if np.prod(s["shape"]) > 0],
+            lambda name, edit: resigned(data, name, edit))
+
+
+_EXTREME_FLOATS = [0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+                   np.nan]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_bundle_that_loads_scores_every_row(tamper, held_out, data):
+    """One entry of one stored array set to an extreme value, the bundle
+    re-signed: loading raises CorruptBundle, or scoring raises
+    NonFiniteFeatures, or every held-out row, on either route, scores to a
+    finite, non-negative slot time, one row at a time as in a batch."""
+    specs, tampered = tamper
+    spec = data.draw(st.sampled_from(specs), label="array")
+    dtype = np.dtype(spec["dtype"])
+    index = data.draw(st.integers(0, int(np.prod(spec["shape"])) - 1),
+                      label="index")
+    if dtype.kind == "f":
+        values = _EXTREME_FLOATS
+    else:
+        info = np.iinfo(dtype)
+        values = [0, -1, int(info.min), int(info.max)]
+    value = data.draw(st.sampled_from(values), label="value")
+
+    def edit(arr):
+        arr[index] = value
+
+    try:
+        loaded = deserialize_bundle(tampered(spec["name"], edit))
+    except CorruptBundle:
+        return
+    try:
+        batch = predict_many(loaded, held_out)
+    except NonFiniteFeatures:
+        return
+    assert all(np.isfinite(res.slot_min) and res.slot_min >= 0
+               for res in batch)
+    assert [predict(loaded, r) for r in held_out] == batch
