@@ -481,10 +481,12 @@ class Featurizer:
         n_num = self.num_mean.shape[0]
         num, vol = raw[:n_num], raw[n_num:n_num + 4]
         per = raw[1:3]  # imputed account_count and resource_count
-        np.divide(vol[:1], per, out=vol[2:], where=per > 0)
-        np.log1p(vol, out=vol)
-        num -= self.num_mean[:, None]
-        num /= self.num_std[:, None]
+        # a non-finite result is reported below, as NonFiniteFeatures
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.divide(vol[:1], per, out=vol[2:], where=per > 0)
+            np.log1p(vol, out=vol)
+            num -= self.num_mean[:, None]
+            num /= self.num_std[:, None]
         tab = n_num + 4 + len(_OPTIONAL_FIELDS)
         rows[:, k:k + tab] = raw[:tab].T
         rows[:, -4:] = raw[tab:].T
@@ -524,17 +526,19 @@ class Featurizer:
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Featurizer":
         """Inverse of get_state; the idf and column names are derived.
         Raises CorruptBundle unless the state can transform a record:
-        document frequencies are whole numbers in 1..n_docs, which bounds
-        each idf by 1 + ln(1 + n_docs), the medians and category maps cover
-        exactly their fields, the text arrays agree on size, the scaling
-        arrays fit the numeric block, every model number is finite and each
+        n_docs is a JSON integer and document frequencies are whole numbers
+        in 1..n_docs, which bounds each idf by 1 + ln(1 + n_docs), the
+        medians and category maps cover exactly their fields, the text
+        arrays agree on size, the scaling arrays fit the numeric block,
+        every model number is finite (each median a JSON float) and each
         numeric spread is positive (fit sets a zero spread to 1)."""
         fz = cls(from_dict(FeaturizerConfig, meta["config"]))
-        doc_freq, n_docs = arrays["doc_freq"], int(meta["n_docs"])
-        if not (doc_freq.dtype.kind in "iu"
+        doc_freq, n_docs = arrays["doc_freq"], meta["n_docs"]
+        if not (type(n_docs) is int and doc_freq.dtype.kind in "iu"
                 and np.all((doc_freq >= 1) & (doc_freq <= n_docs))):
-            raise CorruptBundle("featurizer: a document frequency is not a "
-                                "whole number in 1..n_docs")
+            raise CorruptBundle("featurizer: n_docs is not an integer, or a "
+                                "document frequency is not a whole number "
+                                "in 1..n_docs")
         fz.text_state = TextVectorizerState(
             vocabulary={t: i for i, t in enumerate(meta["vocabulary"])},
             doc_freq=doc_freq, n_docs=n_docs)
@@ -542,7 +546,7 @@ class Featurizer:
                                 singular_values=arrays["svd_singular_values"])
         fz.asset_count_keys = list(meta["asset_count_keys"])
         fz.category_maps = {k: list(v) for k, v in meta["category_maps"].items()}
-        fz.impute_medians = {k: float(v) for k, v in meta["impute_medians"].items()}
+        fz.impute_medians = dict(meta["impute_medians"])
         fz.num_mean = arrays["num_mean"]
         fz.num_std = arrays["num_std"]
         fz._fitted = True
@@ -557,10 +561,12 @@ class Featurizer:
                 and fz.num_mean.shape == fz.num_std.shape == (n_num,)):
             raise CorruptBundle("featurizer: state arrays and names disagree")
         fz.column_names = fz._layout()
+        medians = list(fz.impute_medians.values())
         numbers = (basis.components, basis.singular_values,
-                   fz.num_mean, fz.num_std, list(fz.impute_medians.values()))
-        if not (all(np.isfinite(a).all() for a in numbers)
+                   fz.num_mean, fz.num_std, medians)
+        if not (all(isinstance(v, float) for v in medians)
+                and all(np.isfinite(a).all() for a in numbers)
                 and (fz.num_std > 0).all()):
-            raise CorruptBundle("featurizer: a model number is not finite, "
-                                "or a numeric spread is not positive")
+            raise CorruptBundle("featurizer: a model number is not a finite "
+                                "float, or a numeric spread is not positive")
         return fz

@@ -1,8 +1,8 @@
 """Histogram-based gradient-boosted regression trees (squared-error loss).
 
 Trees are grown best-first over quantile-binned features with a
-variance-reduction split criterion. Everything is deterministic under a
-fixed seed; a fitted Forest is immutable.
+variance-reduction split criterion. Nothing is random: the same rows and
+config give the same forest, bit for bit; a fitted Forest is immutable.
 """
 from __future__ import annotations
 
@@ -40,8 +40,6 @@ class GBRTConfig:
     min_samples_leaf: int = setting(20, ge=1)
     l2: float = setting(0.0, ge=0)
     max_bins: int = setting(255, ge=2, le=_BINS)
-    seed: int = setting(0, ge=0)
-    binning_sample: int = setting(100_000, ge=0)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -84,13 +82,11 @@ class BinMapper:
         return int(self._missing[feature])
 
     @classmethod
-    def fit(cls, x: np.ndarray, max_bins: int = 255,
-            sample: int = 100_000, seed: int = 0) -> "BinMapper":
-        n = x.shape[0]
-        if n > sample:
-            rng = np.random.default_rng(seed)
-            rows = np.sort(rng.choice(n, size=sample, replace=False))
-            x = x[rows]
+    def fit(cls, x: np.ndarray, max_bins: int = 255) -> "BinMapper":
+        """Edges from every finite value of each column of x: one bin per
+        distinct value where a column has fewer than max_bins of them, else
+        at most max_bins - 1 bins split at quantiles. The bin after a
+        feature's value bins is its missing bin."""
         max_value_bins = max_bins - 1  # keep uint8 room for the missing bin
         edges: List[np.ndarray] = []
         for f in range(x.shape[1]):
@@ -451,10 +447,10 @@ class Forest:
         fit a uint8, an internal node's threshold is one of its feature's
         value bins (fit never splits at the missing bin, which sends every
         row left), each feature's bin edges are non-decreasing float64
-        values, as binning's search needs, and b0 and the node values are
-        finite, with |b0| plus the learning rate times each tree's largest
-        |leaf value| below log(float max), so that no prediction overflows
-        expm1; building the forest checks that the children make each tree
+        values, as binning's search needs, and b0 is a float and it and the
+        node values are finite, with |b0| plus the learning rate times each
+        tree's largest |leaf value| below log(float max), so that no
+        prediction overflows expm1; building the forest checks that the children make each tree
         a tree of at most MAX_LEAVES leaves."""
         f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
         eo, ev = arrays["edge_offsets"], arrays["edge_values"]
@@ -481,13 +477,16 @@ class Forest:
                 (np.diff(ev) < 0) & ~first[1:-1]):
             raise CorruptBundle("forest: bin edges are not float64 and "
                                 "non-decreasing within each feature")
-        config, b0 = from_dict(GBRTConfig, meta["config"]), float(meta["b0"])
+        config, b0 = from_dict(GBRTConfig, meta["config"]), meta["b0"]
         leaf = np.where(f < 0, np.abs(val), 0.0)
-        reach = abs(b0) + config.learning_rate * np.maximum.reduceat(
-            leaf, off[:-1]).sum()
-        if not (np.isfinite(val).all() and reach < _LOG_MAX):
-            raise CorruptBundle("forest: b0 or a node value is not finite, "
-                                "or a prediction could overflow expm1")
+        with np.errstate(over="ignore"):  # an infinite reach is refused
+            reach = config.learning_rate * np.maximum.reduceat(
+                leaf, off[:-1]).sum()
+        if not (isinstance(b0, float) and np.isfinite(val).all()
+                and abs(b0) + reach < _LOG_MAX):
+            raise CorruptBundle("forest: b0 is not a float, b0 or a node "
+                                "value is not finite, or a prediction could "
+                                "overflow expm1")
         edges = [ev[eo[i]:eo[i + 1]] for i in range(eo.size - 1)]
         return cls(config=config, b0=b0, bin_mapper=BinMapper(edges),
                    train_losses=arrays["train_losses"],
@@ -509,8 +508,7 @@ def fit(features: np.ndarray, targets: np.ndarray,
         raise TooFewSamples(
             f"need >= {2 * config.min_samples_leaf} rows, got {x.shape[0]}")
 
-    mapper = BinMapper.fit(x, max_bins=config.max_bins,
-                           sample=config.binning_sample, seed=config.seed)
+    mapper = BinMapper.fit(x, max_bins=config.max_bins)
     xb = mapper.transform(x)
     layout = HistLayout(mapper.bin_edges)
     b0 = float(y.mean())

@@ -36,7 +36,9 @@ from .sql_analyzer import clean_query, complexity_score
 # 3: each fact is stored once: loading derives the idf, column names, tree
 # counts and fallback routes; the header drops its copies of the format
 # version, train config, seed and record count
-FORMAT_VERSION = 3
+# 4: each forest's config no longer holds seed and binning_sample (binning
+# reads every training row)
+FORMAT_VERSION = 4
 _MAGIC = b"SLTB"
 _HEADER_KEYS = {"router", "metadata", "featurizer", "forests", "arrays"}
 

@@ -2,14 +2,16 @@
 
 Everything here is lexical: queries are cleaned (comments stripped, literals
 and table paths replaced by placeholders, uppercased, whitespace collapsed)
-and operators are counted over the resulting token stream. Malformed SQL is
-never rejected; counting degrades gracefully.
+and operators are counted over the resulting token stream. The score weighs
+those counts by the published table, DEFAULT_WEIGHTS, and by no other: the
+router's threshold is in its units. Malformed SQL is never rejected;
+counting degrades gracefully.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 # Operator kinds, in a fixed reporting order.
 OPERATOR_KINDS: Tuple[str, ...] = (
@@ -52,7 +54,7 @@ DISPLAY_NAMES: Dict[str, str] = {
     "having": "Having",
 }
 
-# Published per-occurrence weights.
+# Published per-occurrence weights, the only ones the score uses.
 DEFAULT_WEIGHTS: Dict[str, int] = {
     "join": 3,
     "cross_join": 5,
@@ -220,25 +222,13 @@ def default_weights() -> Dict[str, int]:
     return dict(DEFAULT_WEIGHTS)
 
 
-def validate_weights(weights: Mapping[str, int]) -> None:
-    if set(weights) != set(OPERATOR_KINDS):
-        raise ValueError("weights must cover exactly the known operator kinds")
-    for kind, w in weights.items():
-        if w < 0:
-            raise ValueError(f"weight for {kind} must be >= 0")
-
-
-def complexity_score(q: CleanedQuery, weights: Mapping[str, int] | None = None) -> ComplexityReport:
-    """Compute the weighted operator tally for a cleaned query."""
-    if weights is None:
-        weights = DEFAULT_WEIGHTS
-    else:
-        validate_weights(weights)
+def complexity_score(q: CleanedQuery) -> ComplexityReport:
+    """Weigh a cleaned query's operator counts by DEFAULT_WEIGHTS."""
     counts = count_operators(q)
-    score = sum(counts[k] * weights[k] for k in OPERATOR_KINDS)
+    score = sum(counts[k] * DEFAULT_WEIGHTS[k] for k in OPERATOR_KINDS)
     return ComplexityReport(counts=counts, score=score)
 
 
-def analyze_sql(raw_sql: str, weights: Mapping[str, int] | None = None) -> ComplexityReport:
+def analyze_sql(raw_sql: str) -> ComplexityReport:
     """Convenience: clean then score in one call."""
-    return complexity_score(clean_query(raw_sql), weights)
+    return complexity_score(clean_query(raw_sql))

@@ -272,8 +272,7 @@ def naive_fit(features, targets, config):
 
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    mapper = BinMapper.fit(x, max_bins=config.max_bins,
-                           sample=config.binning_sample, seed=config.seed)
+    mapper = BinMapper.fit(x, max_bins=config.max_bins)
     xb = mapper.transform(x)
     b0 = float(y.mean())
     pred = np.full(y.shape, b0)

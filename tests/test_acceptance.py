@@ -159,18 +159,18 @@ def test_criterion_4_gbdt_properties(capsys):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2000, 10))
         y = x[:, 0] * 2 - x[:, 3] + np.sin(x[:, 5]) + rng.normal(size=2000) * 0.3
-        forest = gbrt.fit(x, y, GBRTConfig(seed=0))
+        forest = gbrt.fit(x, y, GBRTConfig())
         assert len(forest.train_losses) == 300
         assert np.all(np.diff(forest.train_losses) <= 1e-12)
 
         xl = np.linspace(0, 1, 200).reshape(-1, 1)
         yl = 3.0 * xl.ravel()
-        fl = gbrt.fit(xl, yl, GBRTConfig(seed=0))
+        fl = gbrt.fit(xl, yl, GBRTConfig())
         pl = fl.predict(xl)
         r2 = 1 - np.sum((yl - pl) ** 2) / np.sum((yl - yl.mean()) ** 2)
         assert r2 >= 0.99
 
-        f2 = gbrt.fit(x, y, GBRTConfig(seed=0))
+        f2 = gbrt.fit(x, y, GBRTConfig())
         m1, a1 = forest.get_state()
         m2, a2 = f2.get_state()
         assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)

@@ -188,7 +188,7 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "gbrt.max_bins = 400", "gbrt.iterations = -1", "gbrt.learning_rate = nan",
     "gbrt.learning_rate = 0", "gbrt.max_leaves = 1", "gbrt.max_leaves = 65",
-    "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1", "gbrt.binning_sample = -1",
+    "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1",
     "gbrt.iterations = 99999999999999999999999"])
 def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
     assert_config_rejected(tmp_path, capsys, line, "train")
@@ -215,6 +215,13 @@ def test_retired_svd_keys_are_unknown(tmp_path, capsys, key):
     assert capsys.readouterr().err == (
         f"config error: unknown config key(s): {key}\n")
     assert not (tmp_path / "m.sltb").exists()
+
+
+@pytest.mark.parametrize("key", ["gbrt.seed", "gbrt.binning_sample"])
+def test_retired_gbrt_keys_are_unknown(tmp_path, capsys, key):
+    """Binning reads every training row since bundle format 4, so the
+    row sample's size and seed are unknown keys too."""
+    test_retired_svd_keys_are_unknown(tmp_path, capsys, key)
 
 
 def assert_config_rejected(tmp_path, capsys, line, command):
@@ -565,6 +572,10 @@ def _forest_config(field, value):
     lambda h: h["metadata"].update(train_target_median="3.5"),
     lambda h: h["metadata"].update(train_target_mean=10**400),
     lambda h: next(iter(h["forests"].values())).update(b0=10**400),
+    lambda h: next(iter(h["forests"].values())).update(b0=True),
+    lambda h: next(iter(h["forests"].values())).update(b0="0.5"),
+    lambda h: h["featurizer"]["impute_medians"].update(account_count=True),
+    lambda h: h["featurizer"]["impute_medians"].update(account_count="2.0"),
 ], ids=["no-router", "no-metadata", "no-featurizer",
         "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
         "router-threshold-string",
@@ -582,7 +593,9 @@ def _forest_config(field, value):
         "forests-unknown-route", "metadata-no-train_target_mean",
         "metadata-no-train_target_median", "metadata-train_target_mean-nan",
         "metadata-train_target_median-string",
-        "metadata-train_target_mean-beyond-float", "forest-b0-beyond-float"])
+        "metadata-train_target_mean-beyond-float", "forest-b0-beyond-float",
+        "forest-b0-bool", "forest-b0-string", "impute_medians-bool",
+        "impute_medians-string"])
 def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):
     _, data, bundle = trained
     bad = tmp_path / "bad.sltb"
@@ -654,20 +667,24 @@ def _text_state(name, value):
     _text_state("doc_freq", lambda s: s.doc_freq + s.n_docs),
     _text_state("doc_freq", lambda s: s.doc_freq.astype(np.float64)),
     _text_state("n_docs", lambda s: 0),
+    _text_state("n_docs", lambda s: "1500"),
+    _text_state("n_docs", lambda s: 1500.9),
     _text_state("n_docs", lambda s: 10**400),
 ], ids=["num_std-nan", "num_std-zero", "num_mean-inf",
         "svd_components-nan", "svd_singular_values-nan",
         "impute_medians-nan", "leaf-value-nan", "inner-node-value-nan",
         "leaf-value-1e300", "b0-inf", "b0-minus-inf", "b0-nan",
         "b0-709-with-leaves", "doc_freq-zero", "doc_freq-above-n_docs",
-        "doc_freq-float", "n_docs-zero", "n_docs-beyond-float"])
+        "doc_freq-float", "n_docs-zero", "n_docs-string", "n_docs-float",
+        "n_docs-beyond-float"])
 def test_resigned_non_finite_model_number_is_io_error(trained, tmp_path,
                                                       capsys, edit):
     """A model number edited in memory and saved with a valid checksum:
     loading refuses a non-finite number, a non-positive spread, a forest
-    whose prediction could overflow expm1 and a document frequency that is
-    not a whole number in 1..n_docs (the idf derived from it could then be
-    negative, infinite or too large to score)."""
+    whose prediction could overflow expm1, an n_docs that is not a JSON
+    integer and a document frequency that is not a whole number in
+    1..n_docs (the idf derived from it could then be negative, infinite or
+    too large to score)."""
     _, data, bundle = trained
     model = load_bundle(bundle)
     edit(model)
@@ -741,15 +758,19 @@ def test_version_mismatch_exit_code(trained, tmp_path, capsys):
     assert "bundle version error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_format_bundle_is_version_error(trained, tmp_path, capsys,
                                             version):
-    """A format-1 bundle holds the retired SVD config keys, and a format-2
-    one stores facts that format 3 derives, such as its format version in
-    the header: either asks for a retrain rather than failing on its
-    header."""
+    """A format-1 bundle holds the retired SVD config keys, a format-2 one
+    stores facts that format 3 derives, such as its format version in the
+    header, and up to format 3 each forest's config holds the retired
+    binning sample and its seed: each asks for a retrain rather than
+    failing on its header."""
     def as_old_format(header):
-        header["format_version"] = version
+        for meta in header["forests"].values():
+            meta["config"].update(seed=0, binning_sample=100_000)
+        if version <= 2:
+            header["format_version"] = version
         if version == 1:
             header["featurizer"]["config"].update(
                 svd_seed=0, svd_oversample=10, svd_power_iters=4)

@@ -16,7 +16,7 @@ from slotcast.gbrt import (BinMapper, Forest, GBRTConfig, HistLayout,
 
 def small_config(**kwargs):
     base = dict(learning_rate=0.07, iterations=30, max_leaves=31,
-                min_samples_leaf=5, seed=0)
+                min_samples_leaf=5)
     base.update(kwargs)
     return GBRTConfig(**base)
 
@@ -160,7 +160,7 @@ def test_constant_target_all_trees_are_zero_leaves():
 def test_noiseless_linear_high_r2():
     x = np.linspace(0, 1, 200).reshape(-1, 1)
     y = 3.0 * x.ravel()
-    forest = gbrt.fit(x, y, GBRTConfig(seed=0))
+    forest = gbrt.fit(x, y, GBRTConfig())
     pred = forest.predict(x)
     r2 = 1 - np.sum((y - pred) ** 2) / np.sum((y - y.mean()) ** 2)
     assert r2 >= 0.99
@@ -173,7 +173,7 @@ def test_noiseless_linear_pointwise_close():
     # with enough rows per leaf the fit is pointwise tight
     x = np.linspace(0, 1, 2000).reshape(-1, 1)
     y = 3.0 * x.ravel()
-    forest = gbrt.fit(x, y, GBRTConfig(seed=0))
+    forest = gbrt.fit(x, y, GBRTConfig())
     pred = forest.predict(x)
     assert np.max(np.abs(pred - y)) <= 0.05
 
@@ -182,8 +182,8 @@ def test_fixed_seed_byte_identical():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(300, 5))
     y = x @ np.array([1.0, -2.0, 0.5, 0.0, 3.0]) + rng.normal(size=300) * 0.1
-    f1 = gbrt.fit(x, y, small_config(seed=42))
-    f2 = gbrt.fit(x, y, small_config(seed=42))
+    f1 = gbrt.fit(x, y, small_config())
+    f2 = gbrt.fit(x, y, small_config())
     assert forest_bytes(f1) == forest_bytes(f2)
 
 
@@ -350,7 +350,7 @@ def fit_cases(draw):
         max_leaves=draw(st.integers(2, 31)),
         min_samples_leaf=draw(st.integers(1, min(25, n // 2))),
         l2=draw(st.sampled_from([0.0, 1.5])),
-        max_bins=draw(st.sampled_from([255, 256, 16, 2])), seed=seed)
+        max_bins=draw(st.sampled_from([255, 256, 16, 2])))
     return x, y, config
 
 
@@ -415,8 +415,8 @@ def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
     ("max_bins", 400), ("max_bins", 1), ("iterations", -1),
     ("learning_rate", float("nan")), ("learning_rate", 0.0),
     ("learning_rate", float("inf")), ("max_leaves", 1), ("max_leaves", 65),
-    ("min_samples_leaf", 0), ("l2", -0.5), ("binning_sample", -1),
-    ("seed", -1), ("iterations", 2.5), ("l2", None), ("max_leaves", True),
+    ("min_samples_leaf", 0), ("l2", -0.5), ("iterations", 2.5), ("l2", None),
+    ("max_leaves", True),
     ("iterations", gbrt.MAX_ITERATIONS + 1), ("iterations", 10**23)])
 def test_config_out_of_range_rejected(field, value):
     with pytest.raises(ConfigError, match=f"gbrt.{field}"):
@@ -431,7 +431,7 @@ def test_config_range_edges_accepted():
     x = np.linspace(0, 1, 40).reshape(-1, 1)
     forest = gbrt.fit(x, x.ravel(), GBRTConfig(
         max_bins=256, iterations=1, max_leaves=2, min_samples_leaf=1,
-        l2=0.0, learning_rate=1e-9, seed=0, binning_sample=0))
+        l2=0.0, learning_rate=1e-9))
     assert forest.n_trees == 1
     assert from_dict(GBRTConfig, to_dict(forest.config)) == forest.config
     assert GBRTConfig(iterations=gbrt.MAX_ITERATIONS).iterations == 10**6
@@ -472,7 +472,7 @@ def small_forests(draw):
         learning_rate=draw(st.sampled_from([0.07, 0.3, 1.0])),
         iterations=draw(st.integers(0, 12)),
         max_leaves=draw(st.integers(2, 64)),
-        min_samples_leaf=draw(st.integers(1, n // 2)), seed=seed)
+        min_samples_leaf=draw(st.integers(1, n // 2)))
     forest = gbrt.fit(x, y, config)
     m = draw(st.sampled_from([0, 1, 2, 17]))
     return forest, rows_with_gaps(rng, m, d)

@@ -519,46 +519,77 @@ def held_out(bundle):
     return by_route[ROUTE_SIMPLE][:6] + by_route[ROUTE_COMPLEX][:6]
 
 
+def _header_scalars(header):
+    """Paths to the header numbers that loading reads: the train-target
+    constants, the router, the featurizer's config, n_docs and imputed
+    medians, and each forest's b0 and config."""
+    fz = header["featurizer"]
+    paths = [("metadata", "train_target_mean"),
+             ("metadata", "train_target_median"), ("featurizer", "n_docs")]
+    paths += [("router", k) for k in header["router"]]
+    paths += [("featurizer", part, k) for part in ("config", "impute_medians")
+              for k in fz[part]]
+    for route, meta in header["forests"].items():
+        paths += [("forests", route, "b0")]
+        paths += [("forests", route, "config", k) for k in meta["config"]]
+    return paths
+
+
 @pytest.fixture(scope="module")
 def tamper(bundle):
-    """The serialized bundle's array specs with at least one entry, and a
-    function of (name, edit) giving it re-signed with that array edited
-    (a closure, so a failing example does not print the bundle)."""
+    """The serialized bundle's array specs with at least one entry, the
+    paths to its header scalars, and a function of (array spec or header
+    path, value) giving it re-signed with that entry set to the value (a
+    closure, so a failing example does not print the bundle)."""
     data = serialize_bundle(bundle)
     header_len = int.from_bytes(data[8:16], "little")
-    specs = json.loads(data[16:16 + header_len])["arrays"]
-    return ([s for s in specs if np.prod(s["shape"]) > 0],
-            lambda name, edit: resigned(data, name, edit))
+    header = json.loads(data[16:16 + header_len])
+
+    def tampered(target, value, index=0):
+        if isinstance(target, dict):
+            def edit(arr):
+                arr[index] = value
+            return resigned(data, target["name"], edit)
+
+        def edit_header(h):
+            for key in target[:-1]:
+                h = h[key]
+            h[target[-1]] = value
+        return resigned_header(data, edit_header)
+
+    return ([s for s in header["arrays"] if np.prod(s["shape"]) > 0],
+            _header_scalars(header), tampered)
 
 
 _EXTREME_FLOATS = [0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
                    np.nan]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_a_bundle_that_loads_scores_every_row(tamper, held_out, data):
-    """One entry of one stored array set to an extreme value, the bundle
-    re-signed: loading raises CorruptBundle, or scoring raises
-    NonFiniteFeatures, or every held-out row, on either route, scores to a
-    finite, non-negative slot time, one row at a time as in a batch."""
-    specs, tampered = tamper
-    spec = data.draw(st.sampled_from(specs), label="array")
-    dtype = np.dtype(spec["dtype"])
-    index = data.draw(st.integers(0, int(np.prod(spec["shape"])) - 1),
-                      label="index")
-    if dtype.kind == "f":
-        values = _EXTREME_FLOATS
+    """One entry of one stored array, or one header scalar, set to an
+    extreme value, the bundle re-signed: loading raises CorruptBundle, or
+    scoring raises NonFiniteFeatures, or every held-out row, on either
+    route, scores to a finite, non-negative slot time, one row at a time as
+    in a batch."""
+    specs, scalars, tampered = tamper
+    target = data.draw(st.sampled_from(specs + scalars), label="target")
+    if isinstance(target, tuple):  # a header scalar
+        index, values = 0, _EXTREME_FLOATS + [10 ** 400, True]
     else:
-        info = np.iinfo(dtype)
-        values = [0, -1, int(info.min), int(info.max)]
+        index = data.draw(st.integers(0, int(np.prod(target["shape"])) - 1),
+                          label="index")
+        dtype = np.dtype(target["dtype"])
+        if dtype.kind == "f":
+            values = _EXTREME_FLOATS
+        else:
+            info = np.iinfo(dtype)
+            values = [0, -1, int(info.min), int(info.max)]
     value = data.draw(st.sampled_from(values), label="value")
 
-    def edit(arr):
-        arr[index] = value
-
     try:
-        loaded = deserialize_bundle(tampered(spec["name"], edit))
+        loaded = deserialize_bundle(tampered(target, value, index))
     except CorruptBundle:
         return
     try:

@@ -235,22 +235,6 @@ def test_default_weight_table():
     assert len(expected) == 17
 
 
-def test_weight_validation():
-    w = default_weights()
-    w["join"] = -1
-    with pytest.raises(ValueError):
-        complexity_score(clean_query("SELECT 1"), w)
-    with pytest.raises(ValueError):
-        complexity_score(clean_query("SELECT 1"), {"join": 3})
-
-
-def test_weight_zero_neutrality():
-    sql = "SELECT a FROM t1 JOIN t2 ON t1.x = t2.x JOIN t3 ON t1.y = t3.y"
-    w = default_weights()
-    w["join"] = 0
-    assert complexity_score(clean_query(sql), w).score == 0
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
