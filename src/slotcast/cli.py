@@ -73,9 +73,11 @@ def _is_trivial_ddl(query_text: str) -> bool:
 
 
 def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]:
-    """Parse a JSONL export and apply the pre-training filters."""
+    """Parse a JSONL export and apply the pre-training filters. The DDL
+    check runs once per distinct query text."""
     stats = IngestStats()
     records: List[QueryRecord] = []
+    ddl: Dict[str, bool] = {}
     # undecodable bytes survive as lone surrogates, which encode() rejects
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -95,7 +97,9 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
             if rec.timed_out:
                 stats.dropped["timeout"] += 1
                 continue
-            if _is_trivial_ddl(rec.query_text):
+            if rec.query_text not in ddl:
+                ddl[rec.query_text] = _is_trivial_ddl(rec.query_text)
+            if ddl[rec.query_text]:
                 stats.dropped["ddl"] += 1
                 continue
             if training:

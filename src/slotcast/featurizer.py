@@ -467,16 +467,26 @@ class Featurizer:
                   cleaned: Sequence[CleanedQuery], *,
                   _tfidf: Optional[TextRows] = None) -> FeatureMatrix:
         """The feature matrix of one record or a batch: one block, each
-        group of columns written into its own slice. fit_transform passes
-        the TF-IDF rows it built for fit_svd as ``_tfidf``."""
+        group of columns written into its own slice. The text columns are
+        built once per distinct CleanedQuery object (records that share one
+        share its text row) and gathered into place; every other column is
+        built per record. fit_transform passes the TF-IDF rows it built for
+        fit_svd, one per record, as ``_tfidf``."""
         if not self._fitted:
             raise StateNotFitted("featurizer must be fit before transform")
         _check_lengths(records, reports, cleaned)
-        if _tfidf is None:
-            _tfidf = transform_text(self.text_state, cleaned)
         n, k = len(records), self.svd_basis.k
         rows = np.zeros((n, len(self.column_names)))
-        project_text(self.svd_basis, _tfidf, out=rows[:, :k])
+        if _tfidf is None:
+            # each row is normalised and projected on its own, so a shared
+            # row holds the same bytes as one built per record
+            distinct = {id(q): q for q in cleaned}
+            at = {key: i for i, key in enumerate(distinct)}
+            text = project_text(self.svd_basis, transform_text(
+                self.text_state, list(distinct.values())))
+            rows[:, :k] = text[[at[id(q)] for q in cleaned]]
+        else:
+            project_text(self.svd_basis, _tfidf, out=rows[:, :k])
         raw = self._raw(records, reports)
         n_num = self.num_mean.shape[0]
         num, vol = raw[:n_num], raw[n_num:n_num + 4]

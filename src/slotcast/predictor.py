@@ -14,7 +14,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,12 @@ from .errors import (
 from .featurizer import Featurizer, FeaturizerConfig
 from .gbrt import Forest, GBRTConfig
 from .records import QueryRecord
-from .sql_analyzer import clean_query, complexity_score
+from .sql_analyzer import (
+    CleanedQuery,
+    ComplexityReport,
+    clean_query,
+    complexity_score,
+)
 
 # 2: the featurizer config no longer holds svd_seed, svd_oversample and
 # svd_power_iters (the text SVD is exact)
@@ -117,6 +122,20 @@ class ModelBundle:
 # Training / inference
 # ---------------------------------------------------------------------------
 
+def _analyze(records: Sequence[QueryRecord]
+             ) -> Tuple[List[CleanedQuery], List[ComplexityReport]]:
+    """Each record's cleaned query and complexity report, one of each per
+    record. Both are pure functions of the text, so each distinct text is
+    cleaned and scored once and its records share the same two objects."""
+    by_text: Dict[str, Tuple[CleanedQuery, ComplexityReport]] = {}
+    for r in records:
+        if r.query_text not in by_text:
+            q = clean_query(r.query_text)
+            by_text[r.query_text] = q, complexity_score(q)
+    pairs = [by_text[r.query_text] for r in records]
+    return [q for q, _ in pairs], [rep for _, rep in pairs]
+
+
 def train(records: Sequence[QueryRecord],
           config: Optional[TrainConfig] = None) -> ModelBundle:
     """Fit the shared featurizer and the complexity-routed forests.
@@ -129,8 +148,7 @@ def train(records: Sequence[QueryRecord],
     if n < 2 * config.gbrt.min_samples_leaf:
         raise TooFewSamples(
             f"need >= {2 * config.gbrt.min_samples_leaf} training records")
-    cleaned = [clean_query(r.query_text) for r in records]
-    reports = [complexity_score(q) for q in cleaned]
+    cleaned, reports = _analyze(records)
     y = transform_target(np.array([r.slot_min for r in records]))
 
     featurizer = Featurizer(config.featurizer)
@@ -169,9 +187,10 @@ def _forest_for_route(bundle: ModelBundle, route: str) -> Forest:
 
 def _score(bundle: ModelBundle,
            records: Sequence[QueryRecord]) -> List[PredictionResult]:
-    """Clean, score, route, featurize and predict a batch of records."""
-    cleaned = [clean_query(r.query_text) for r in records]
-    reports = [complexity_score(q) for q in cleaned]
+    """Clean, score, route, featurize and predict a batch of records.
+    The text stages run once per distinct query text; the tabular columns,
+    routing and forests stay per record."""
+    cleaned, reports = _analyze(records)
     matrix = bundle.featurizer.transform(records, reports, cleaned)
     route_names = [bundle.router.route(rep.score) for rep in reports]
     zs = np.empty(len(records))
@@ -284,10 +303,12 @@ def _bundle_from_header(header: dict, payload: memoryview) -> ModelBundle:
     metadata = header["metadata"]
     for key in ("train_target_mean", "train_target_median"):
         value = metadata.get(key)
-        # the bounds also reject NaN and an int too large to become a float
+        # slot minutes are >= 0; the bounds also reject NaN and an int too
+        # large to become a float
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not -sys.float_info.max <= value <= sys.float_info.max):
-            raise CorruptBundle(f"metadata: {key} is not a finite number")
+                or not 0 <= value <= sys.float_info.max):
+            raise CorruptBundle(f"metadata: {key} is not a finite number "
+                                ">= 0")
     routes = set(header["forests"])
     if not (routes <= _ROUTES and (ROUTE_UNIFIED in routes
                                    or {ROUTE_SIMPLE, ROUTE_COMPLEX} <= routes)):

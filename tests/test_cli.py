@@ -31,6 +31,7 @@ from slotcast.gbrt import GBRTConfig
 from slotcast.predictor import (FORMAT_VERSION, Router, load_bundle,
                                  save_bundle)
 from slotcast.records import _CHECKS, QueryRecord
+from slotcast.sql_analyzer import clean_query
 from slotcast.synth import OracleCostModel, WorkloadConfig, generate
 
 
@@ -102,6 +103,33 @@ def test_ingest_ctas_kept(tmp_path):
         "total_slot_ms": 5.0, "elapsed_ms": 9.0}) + "\n", encoding="utf-8")
     records, stats = ingest(path, training=True)
     assert len(records) == 1 and stats.dropped["ddl"] == 0
+
+
+def test_ingest_checks_each_distinct_text_for_ddl_once(tmp_path,
+                                                      monkeypatch):
+    """A repeated DDL line and a repeated SELECT line are cleaned once
+    each, and every repeat is still dropped or kept at its position."""
+    ddl = json.dumps({"query_text": "DROP TABLE `p.d.t`",
+                      "total_slot_ms": 5.0, "elapsed_ms": 9.0})
+    select = json.dumps({"query_text": "SELECT A FROM `p.d.t`",
+                         "total_slot_ms": 5.0, "elapsed_ms": 9.0})
+    path = tmp_path / "repeats.jsonl"
+    path.write_text("\n".join([select, ddl, ddl, select, "", ddl, select])
+                    + "\n", encoding="utf-8")
+    cleaned = []
+
+    def counted(text):
+        cleaned.append(text)
+        return clean_query(text)
+
+    monkeypatch.setattr(cli, "clean_query", counted)
+    records, stats = ingest(path, training=True)
+    assert sorted(cleaned) == ["DROP TABLE `p.d.t`", "SELECT A FROM `p.d.t`"]
+    assert stats.read == 6 and stats.balanced()
+    assert stats.dropped == {"ddl": 3, "timeout": 0, "anomalous": 0,
+                             "empty": 0, "malformed": 0}
+    assert stats.positions == [0, 3, 5]
+    assert [r.query_text for r in records] == ["SELECT A FROM `p.d.t`"] * 3
 
 
 def test_ingest_inference_mode_keeps_unlabelled(tmp_path):
@@ -571,6 +599,8 @@ def _forest_config(field, value):
     lambda h: h["metadata"].update(train_target_mean=float("nan")),
     lambda h: h["metadata"].update(train_target_median="3.5"),
     lambda h: h["metadata"].update(train_target_mean=10**400),
+    lambda h: h["metadata"].update(train_target_mean=-1e308),
+    lambda h: h["metadata"].update(train_target_median=-0.5),
     lambda h: next(iter(h["forests"].values())).update(b0=10**400),
     lambda h: next(iter(h["forests"].values())).update(b0=True),
     lambda h: next(iter(h["forests"].values())).update(b0="0.5"),
@@ -593,7 +623,9 @@ def _forest_config(field, value):
         "forests-unknown-route", "metadata-no-train_target_mean",
         "metadata-no-train_target_median", "metadata-train_target_mean-nan",
         "metadata-train_target_median-string",
-        "metadata-train_target_mean-beyond-float", "forest-b0-beyond-float",
+        "metadata-train_target_mean-beyond-float",
+        "metadata-train_target_mean-negative",
+        "metadata-train_target_median-negative", "forest-b0-beyond-float",
         "forest-b0-bool", "forest-b0-string", "impute_medians-bool",
         "impute_medians-string"])
 def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotcast import gbrt, predictor
+from slotcast import featurizer, gbrt, predictor
 from slotcast.errors import (
     BundleVersionMismatch,
     CorruptBundle,
@@ -216,6 +216,103 @@ def test_predict_many_without_known_terms_or_optional_fields(
         batch = _assert_batch_is_rows(b, bare + workload[:3])
         assert all(np.isfinite(res.slot_min) and res.slot_min >= 0
                    for res in batch)
+
+
+# ---------------------------------------------------------------------------
+# Repeated texts: the text stages run once per distinct text, the rest per
+# record
+# ---------------------------------------------------------------------------
+
+_BYTES = [None, 0, 1_000, 10**9, 5 * 10**12]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batch_with_repeated_texts_scores_row_by_row(bundle, workload,
+                                                     held_out, data):
+    """A batch drawn from a few texts, on both routes and with no known
+    term, each record with its own tabular fields: result i is predict of
+    record i bit for bit, permuting the batch permutes the results, and
+    each feature row is the record's own row, so two records that share a
+    text keep their own byte columns."""
+    texts = [r.query_text for r in held_out[::3]] + ["ZZYZX qwerty"]
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(texts),
+                                         st.integers(0, 7),
+                                         st.sampled_from(_BYTES)),
+                               max_size=20), label="picks")
+    batch = [dataclasses.replace(workload[0], query_text=texts[0],
+                                 total_bytes_processed=b)
+             for b in (1_000, 10**9)]
+    batch += [dataclasses.replace(workload[base], query_text=text,
+                                  total_bytes_processed=b)
+              for text, base, b in picks]
+
+    results = predict_many(bundle, batch)
+    assert results == [predict(bundle, r) for r in batch]
+    order = data.draw(st.permutations(range(len(batch))), label="order")
+    assert (predict_many(bundle, [batch[i] for i in order])
+            == [results[i] for i in order])
+
+    cleaned, reports = predictor._analyze(batch)
+    assert cleaned[0] is cleaned[1] and reports[0] is reports[1]
+    fz = bundle.featurizer
+    rows = fz.transform(batch, reports, cleaned).rows
+    for r, row in zip(batch, rows):
+        (q,), (rep,) = predictor._analyze([r])
+        assert row.tobytes() == fz.transform([r], [rep], [q]).rows[0].tobytes()
+    col = fz.column_names.index("vol_log1p_bytes_processed")
+    assert rows[0, col] != rows[1, col]
+
+
+@pytest.mark.parametrize("n_texts", [3, 30])
+def test_text_stages_run_once_per_distinct_text(bundle, workload,
+                                                monkeypatch, n_texts):
+    """A 30-record batch over n_texts texts cleans and scores n_texts
+    queries and hands transform_text n_texts queries in all."""
+    counts = dict.fromkeys(["clean_query", "complexity_score",
+                            "transform_text"], 0)
+    clean, score = predictor.clean_query, predictor.complexity_score
+    text = featurizer.transform_text
+
+    def counted_clean(query_text):
+        counts["clean_query"] += 1
+        return clean(query_text)
+
+    def counted_score(q):
+        counts["complexity_score"] += 1
+        return score(q)
+
+    def counted_text(state, corpus):
+        counts["transform_text"] += len(corpus)
+        return text(state, corpus)
+
+    monkeypatch.setattr(predictor, "clean_query", counted_clean)
+    monkeypatch.setattr(predictor, "complexity_score", counted_score)
+    monkeypatch.setattr(featurizer, "transform_text", counted_text)
+    texts = list(dict.fromkeys(r.query_text for r in workload))[:n_texts]
+    batch = [dataclasses.replace(r, query_text=texts[i % n_texts])
+             for i, r in enumerate(workload[:30])]
+    predict_many(bundle, batch)
+    assert counts == dict.fromkeys(counts, n_texts)
+
+
+def test_predictions_fingerprint_pinned():
+    """SHA-256 of predict_many's log value, slot minutes, route and score
+    over the held-out rows of the pinned synth corpus (the corpus of
+    test_feature_matrix_fingerprint_pinned: fit on the first 160 of 240
+    records, seed 17), both routes trained by a small GBRT. The 80 held-out
+    rows hold 35 distinct texts."""
+    records = generate(WorkloadConfig(n_queries=240, seed=17))
+    b = train(records[:160], TrainConfig(
+        featurizer=FeaturizerConfig(svd_components=24),
+        gbrt=GBRTConfig(iterations=30, min_samples_leaf=5),
+        router=Router(min_subset=20)))
+    assert set(b.forests) == {ROUTE_SIMPLE, ROUTE_COMPLEX}
+    results = predict_many(b, records[160:])
+    blob = json.dumps([[r.log_space_value.hex(), r.slot_min.hex(), r.route,
+                        r.complexity_score] for r in results])
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+        "31d320fd8e645181e000c2ecabbb5fb2e68ee56b81e9b32f61308d291d463ffc")
 
 
 NO_SCIPY_SCRIPT = """
