@@ -79,7 +79,8 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
     records: List[QueryRecord] = []
     ddl: Dict[str, bool] = {}
     # undecodable bytes survive as lone surrogates, which encode() rejects
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # a leading byte order mark is not part of the first record
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -119,15 +120,18 @@ def ingest(path, training: bool = True) -> Tuple[List[QueryRecord], IngestStats]
 # ---------------------------------------------------------------------------
 
 def _read_text(path) -> str:
-    """A UTF-8 text file's contents; other bytes are a file error (exit 74)."""
+    """A UTF-8 text file's contents without a leading byte order mark; other
+    bytes are a file error (exit 74). The mark is removed after decoding, so
+    an error names the byte's offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                       f"{exc.start})") from None
 
 
 def load_config_file(path) -> Dict[str, str]:
+    """The file's ``key = value`` lines; a key given twice is an error."""
     values: Dict[str, str] = {}
     for line in _read_text(path).split("\n"):
         line = line.strip()
@@ -136,7 +140,10 @@ def load_config_file(path) -> Dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"config key {key} is given twice")
+        values[key] = value.strip()
     return values
 
 

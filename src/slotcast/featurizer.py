@@ -263,12 +263,11 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
                     singular_values=np.ascontiguousarray(s))
 
 
-def project_text(basis: SvdBasis, text: TextRows,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Project the rows onto the basis, into ``out`` (a new (n, k) array
-    when None): row i is ``components @ dense_i``, one product per row, so it
-    does not depend on the batch. A row's columns must be distinct; one
-    outside 0..V-1 raises DimensionMismatch."""
+def project_text(basis: SvdBasis, text: TextRows) -> np.ndarray:
+    """Project the rows onto the basis, one (n, k) array: row i is
+    ``components @ dense_i``, one product per row, so it does not depend on
+    the batch. A row's columns must be distinct; one outside 0..V-1 raises
+    DimensionMismatch."""
     data, indices, indptr = text
     comps = basis.components
     v = comps.shape[1]
@@ -276,8 +275,7 @@ def project_text(basis: SvdBasis, text: TextRows,
         raise DimensionMismatch(
             f"column index outside 0..{v - 1} for a basis of {v} columns")
     bounds = np.asarray(indptr).tolist()
-    if out is None:
-        out = np.empty((len(bounds) - 1, comps.shape[0]))
+    out = np.empty((len(bounds) - 1, comps.shape[0]))
     dense = np.zeros(v)
     for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
         cols = indices[s:e]
@@ -420,9 +418,10 @@ class Featurizer:
         # text pipeline
         self.text_state = fit_text(cleaned, min_df=cfg.min_df,
                                    max_vocab=cfg.max_vocab)
-        tfidf = transform_text_corpus(self.text_state, cleaned)
         if len(records) >= 2 and self.text_state.size >= 1:
-            self.svd_basis = fit_svd(tfidf, cfg.svd_components)
+            self.svd_basis = fit_svd(
+                transform_text_corpus(self.text_state, cleaned),
+                cfg.svd_components)
         else:
             # degenerate corpus: no usable text subspace
             self.svd_basis = SvdBasis(
@@ -460,33 +459,28 @@ class Featurizer:
 
         self.column_names = self._layout()
         self._fitted = True
-        return self.transform(records, reports, cleaned, _tfidf=tfidf[:3])
+        return self.transform(records, reports, cleaned)
 
     def transform(self, records: Sequence[QueryRecord],
                   reports: Sequence[ComplexityReport],
-                  cleaned: Sequence[CleanedQuery], *,
-                  _tfidf: Optional[TextRows] = None) -> FeatureMatrix:
+                  cleaned: Sequence[CleanedQuery]) -> FeatureMatrix:
         """The feature matrix of one record or a batch: one block, each
         group of columns written into its own slice. The text columns are
         built once per distinct CleanedQuery object (records that share one
         share its text row) and gathered into place; every other column is
-        built per record. fit_transform passes the TF-IDF rows it built for
-        fit_svd, one per record, as ``_tfidf``."""
+        built per record."""
         if not self._fitted:
             raise StateNotFitted("featurizer must be fit before transform")
         _check_lengths(records, reports, cleaned)
         n, k = len(records), self.svd_basis.k
         rows = np.zeros((n, len(self.column_names)))
-        if _tfidf is None:
-            # each row is normalised and projected on its own, so a shared
-            # row holds the same bytes as one built per record
-            distinct = {id(q): q for q in cleaned}
-            at = {key: i for i, key in enumerate(distinct)}
-            text = project_text(self.svd_basis, transform_text(
-                self.text_state, list(distinct.values())))
-            rows[:, :k] = text[[at[id(q)] for q in cleaned]]
-        else:
-            project_text(self.svd_basis, _tfidf, out=rows[:, :k])
+        # each row is normalised and projected on its own, so a shared row
+        # holds the same bytes as one built per record
+        distinct = {id(q): q for q in cleaned}
+        at = {key: i for i, key in enumerate(distinct)}
+        text = project_text(self.svd_basis, transform_text(
+            self.text_state, list(distinct.values())))
+        rows[:, :k] = text[[at[id(q)] for q in cleaned]]
         raw = self._raw(records, reports)
         n_num = self.num_mean.shape[0]
         num, vol = raw[:n_num], raw[n_num:n_num + 4]

@@ -38,7 +38,6 @@ class GBRTConfig:
     iterations: int = setting(300, ge=0, le=MAX_ITERATIONS)
     max_leaves: int = setting(31, ge=2, le=MAX_LEAVES)
     min_samples_leaf: int = setting(20, ge=1)
-    l2: float = setting(0.0, ge=0)
     max_bins: int = setting(255, ge=2, le=_BINS)
 
     def __post_init__(self) -> None:
@@ -185,8 +184,7 @@ def histograms(xb: np.ndarray, idx: np.ndarray, g: np.ndarray,
 
 
 def _best_split(hist: np.ndarray, sum_g: float, cnt: float, min_leaf: int,
-                l2: float, layout: HistLayout
-                ) -> Optional[Tuple[float, int, int]]:
+                layout: HistLayout) -> Optional[Tuple[float, int, int]]:
     """Maximize variance-reduction gain over every (feature, bin) split, the
     bin going left; ties break on lowest feature then lowest bin. The gain
     is computed at every slot, so the cost does not depend on how many
@@ -200,9 +198,7 @@ def _best_split(hist: np.ndarray, sum_g: float, cnt: float, min_leaf: int,
     right_g = sum_g - left_g
     right_c = cnt - left_c
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (left_g ** 2 / (left_c + l2)
-                + right_g ** 2 / (right_c + l2)
-                - sum_g ** 2 / (cnt + l2))
+        gain = left_g ** 2 / left_c + right_g ** 2 / right_c - sum_g ** 2 / cnt
     # a feature's last bin and its padding put every row left: never valid
     np.copyto(gain, -np.inf, where=np.minimum(left_c, right_c) < min_leaf)
     best = gain.max(initial=-np.inf)  # NaN if any valid gain is NaN
@@ -218,21 +214,19 @@ def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig,
     threshold, left, right, value] rows, children after their parent, and
     its per-row output. Only a node that may still be split gets a
     histogram and a split search: it needs 2 * min_samples_leaf rows and
-    a leaf budget that outlasts its parent's split."""
+    a leaf budget that outlasts its parent's split. A leaf's value is its
+    rows' mean residual: fit's root holds at least 2 * min_samples_leaf
+    rows and each child at least min_samples_leaf >= 1."""
     n = xb.shape[0]
-    min_leaf, l2 = config.min_samples_leaf, config.l2
+    min_leaf = config.min_samples_leaf
     nodes: List[list] = [[-1, 0, -1, -1, 0.0]]
     out = np.empty(n)
-
-    def leaf_value(s: float, c: float) -> float:
-        return s / (c + l2) if c + l2 > 0 else 0.0
-
     tick = itertools.count()  # heap tiebreak: first pushed pops first
     # heap entries: (-gain, tiebreak, node id, split, histogram, gradient sum)
     heap: List[tuple] = []
 
     def push(nid: int, hist: np.ndarray, s: float, c: float) -> None:
-        split = _best_split(hist, s, c, min_leaf, l2, layout)
+        split = _best_split(hist, s, c, min_leaf, layout)
         if split is not None:
             heapq.heappush(heap, (-split[0], next(tick), nid, split, hist, s))
 
@@ -259,14 +253,14 @@ def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig,
         for child_idx, chist, csg in ((li, hists[0], float(left_sum)),
                                       (ri, hists[1], float(sg - left_sum))):
             cid, c = len(nodes), float(child_idx.size)
-            nodes.append([-1, 0, -1, -1, leaf_value(csg, c)])
+            nodes.append([-1, 0, -1, -1, csg / c])
             leaves[cid] = child_idx
             if chist is not None and c >= 2 * min_leaf:
                 push(cid, chist, csg, c)
         n_leaves += 1
 
     if len(nodes) == 1:  # root stayed a leaf
-        nodes[0][4] = leaf_value(sum_g, cnt)
+        nodes[0][4] = sum_g / cnt
     for nid, idx in leaves.items():
         out[idx] = nodes[nid][4]
     return nodes, out

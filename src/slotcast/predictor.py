@@ -43,7 +43,9 @@ from .sql_analyzer import (
 # version, train config, seed and record count
 # 4: each forest's config no longer holds seed and binning_sample (binning
 # reads every training row)
-FORMAT_VERSION = 4
+# 5: each forest's config no longer holds l2 (the split gain and leaf values
+# take no L2 term)
+FORMAT_VERSION = 5
 _MAGIC = b"SLTB"
 _HEADER_KEYS = {"router", "metadata", "featurizer", "forests", "arrays"}
 

@@ -192,16 +192,14 @@ def _naive_histograms(xb, idx, g):
             c_hist.reshape(n_feat, _BINS).astype(np.float64))
 
 
-def _naive_best_split(g_hist, c_hist, sum_g, cnt, min_leaf, l2):
+def _naive_best_split(g_hist, c_hist, sum_g, cnt, min_leaf):
     left_g = np.cumsum(g_hist, axis=1)[:, :-1]
     left_c = np.cumsum(c_hist, axis=1)[:, :-1]
     right_g = sum_g - left_g
     right_c = cnt - left_c
     valid = (left_c >= min_leaf) & (right_c >= min_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (left_g ** 2 / (left_c + l2)
-                + right_g ** 2 / (right_c + l2)
-                - sum_g ** 2 / (cnt + l2))
+        gain = left_g ** 2 / left_c + right_g ** 2 / right_c - sum_g ** 2 / cnt
     gain = np.where(valid, gain, -np.inf)
     best = int(np.argmax(gain))
     f, b = divmod(best, gain.shape[1])
@@ -219,13 +217,10 @@ def _naive_grow_tree(xb, g, config):
     g_hist, c_hist = _naive_histograms(xb, root_idx, g)
     sum_g, cnt = float(g[root_idx].sum()), float(n)
 
-    def leaf_value(s, c):
-        return s / (c + config.l2) if c + config.l2 > 0 else 0.0
-
     tick = itertools.count()
     heap = []
     split = _naive_best_split(g_hist, c_hist, sum_g, cnt,
-                              config.min_samples_leaf, config.l2)
+                              config.min_samples_leaf)
     state = {0: (root_idx, g_hist, c_hist, sum_g, cnt)}
     if split is not None:
         heapq.heappush(heap, (-split[0], next(tick), 0, split))
@@ -246,17 +241,16 @@ def _naive_grow_tree(xb, g, config):
         for child_idx, cgh, cch, csg in ((li, lgh, lch, lsg),
                                          (ri, rgh, rch, rsg)):
             cid = len(nodes)
-            nodes.append([-1, 0, -1, -1,
-                          leaf_value(csg, float(child_idx.size))])
+            nodes.append([-1, 0, -1, -1, csg / float(child_idx.size)])
             state[cid] = (child_idx, cgh, cch, csg, float(child_idx.size))
             csplit = _naive_best_split(cgh, cch, csg, float(child_idx.size),
-                                       config.min_samples_leaf, config.l2)
+                                       config.min_samples_leaf)
             if csplit is not None:
                 heapq.heappush(heap, (-csplit[0], next(tick), cid, csplit))
         n_leaves += 1
 
     if len(nodes) == 1:
-        nodes[0][4] = leaf_value(sum_g, cnt)
+        nodes[0][4] = sum_g / cnt
     for nid, (idx, _, _, _, _) in state.items():
         out[idx] = nodes[nid][4]
     return nodes, out

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import dataclasses
 import hashlib
@@ -195,6 +196,29 @@ def test_config_file_bad_line(tmp_path):
         load_config_file(path)
 
 
+def test_leading_byte_order_mark_is_not_content(tmp_path, capsys):
+    """A UTF-8 byte order mark before the first record, config key or query
+    is dropped, and a decoding error still names the byte's offset in the
+    file."""
+    plain, marked = tmp_path / "w.jsonl", tmp_path / "bom.jsonl"
+    write_jsonl(plain, generate(WorkloadConfig(n_queries=60, seed=0)))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    records, stats = ingest(marked)
+    assert stats.dropped["malformed"] == 0
+    assert (records, stats) == ingest(plain)
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + b"gbrt.iterations = 12\n")
+    assert train_config_from_values(
+        load_config_file(cfg)).gbrt.iterations == 12
+    query = tmp_path / "q.sql"
+    query.write_bytes(codecs.BOM_UTF8 + b"SELECT a FROM t GROUP BY a")
+    assert main(["analyze", "--query-file", str(query)]) == EXIT_OK
+    assert "total complexity score: 2\n" in capsys.readouterr().out
+    query.write_bytes(codecs.BOM_UTF8 + b"SELECT \xff")
+    assert main(["analyze", "--query-file", str(query)]) == EXIT_IO
+    assert "at byte 10)" in capsys.readouterr().err
+
+
 def test_config_typo_is_usage_error(tmp_path, capsys):
     data = tmp_path / "w.jsonl"
     write_jsonl(data, generate(WorkloadConfig(n_queries=60, seed=0)))
@@ -202,7 +226,9 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
     for text, named, synth_code in (
             ("gbrt.iteratons = 5\n", "gbrt.iteratons", EXIT_USAGE),
             ("gbrt.iterations = five\n", "gbrt.iterations", EXIT_OK),
-            ("gbrt.iterations 5\n", "key=value", EXIT_USAGE)):
+            ("gbrt.iterations 5\n", "key=value", EXIT_USAGE),
+            ("gbrt.iterations = 5\ngbrt.iterations = 300\n",
+             "gbrt.iterations", EXIT_USAGE)):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(text, encoding="utf-8")
         assert main(["train", "--input", str(data), "--output-bundle",
@@ -216,7 +242,7 @@ def test_config_typo_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "gbrt.max_bins = 400", "gbrt.iterations = -1", "gbrt.learning_rate = nan",
     "gbrt.learning_rate = 0", "gbrt.max_leaves = 1", "gbrt.max_leaves = 65",
-    "gbrt.min_samples_leaf = 0", "gbrt.l2 = -1",
+    "gbrt.min_samples_leaf = 0",
     "gbrt.iterations = 99999999999999999999999"])
 def test_out_of_range_gbrt_value_is_usage_error(tmp_path, capsys, line):
     assert_config_rejected(tmp_path, capsys, line, "train")
@@ -245,10 +271,12 @@ def test_retired_svd_keys_are_unknown(tmp_path, capsys, key):
     assert not (tmp_path / "m.sltb").exists()
 
 
-@pytest.mark.parametrize("key", ["gbrt.seed", "gbrt.binning_sample"])
+@pytest.mark.parametrize("key", ["gbrt.seed", "gbrt.binning_sample",
+                                 "gbrt.l2"])
 def test_retired_gbrt_keys_are_unknown(tmp_path, capsys, key):
     """Binning reads every training row since bundle format 4, so the
-    row sample's size and seed are unknown keys too."""
+    row sample's size and seed are unknown keys too, and since format 5
+    the split gain and leaf values take no L2 term."""
     test_retired_svd_keys_are_unknown(tmp_path, capsys, key)
 
 
@@ -344,7 +372,7 @@ def test_config_keys_of_either_command_accepted(tmp_path):
         train_config_from_values(values)
     del values["featurizer.cache"]
     assert train_config_from_values(values) == train_config_from_values({})
-    wl = workload_config_from_values({**values, "gbrt.l2": "1"})
+    wl = workload_config_from_values({**values, "gbrt.max_bins": "16"})
     assert wl.noise_sigma == 0.1 and wl.oracle.base == 0.2
 
 
@@ -790,17 +818,19 @@ def test_version_mismatch_exit_code(trained, tmp_path, capsys):
     assert "bundle version error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_format_bundle_is_version_error(trained, tmp_path, capsys,
                                             version):
     """A format-1 bundle holds the retired SVD config keys, a format-2 one
     stores facts that format 3 derives, such as its format version in the
-    header, and up to format 3 each forest's config holds the retired
-    binning sample and its seed: each asks for a retrain rather than
-    failing on its header."""
+    header, up to format 3 each forest's config holds the retired binning
+    sample and its seed, and up to format 4 it holds the retired l2: each
+    asks for a retrain rather than failing on its header."""
     def as_old_format(header):
         for meta in header["forests"].values():
-            meta["config"].update(seed=0, binning_sample=100_000)
+            meta["config"]["l2"] = 0.0
+            if version <= 3:
+                meta["config"].update(seed=0, binning_sample=100_000)
         if version <= 2:
             header["format_version"] = version
         if version == 1:

@@ -402,12 +402,14 @@ def make_records(n=40, seed=0):
 
 
 def test_fit_transform_consistency():
+    """fit_transform ends in transform, so its rows are transform's bytes."""
     recs, reports, cleaned = make_records()
     fz = Featurizer(FeaturizerConfig(svd_components=16))
     fitted = fz.fit_transform(recs, reports, cleaned)
     again = fz.transform(recs, reports, cleaned)
     assert fitted.column_names == again.column_names
-    assert np.max(np.abs(fitted.rows - again.rows)) <= 1e-12
+    assert fitted.rows.shape == again.rows.shape
+    assert fitted.rows.tobytes() == again.rows.tobytes()
 
 
 def test_transform_before_fit_raises():

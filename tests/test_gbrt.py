@@ -234,7 +234,7 @@ def test_predictions_bounded_by_target_range():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(500, 4))
     y = x[:, 0] * 2 + rng.normal(size=500)
-    forest = gbrt.fit(x, y, small_config(iterations=80, l2=0.0))
+    forest = gbrt.fit(x, y, small_config(iterations=80))
     pred = forest.predict(x)
     assert pred.min() >= y.min() - 1e-9
     assert pred.max() <= y.max() + 1e-9
@@ -349,7 +349,6 @@ def fit_cases(draw):
         iterations=draw(st.integers(0, 8)),
         max_leaves=draw(st.integers(2, 31)),
         min_samples_leaf=draw(st.integers(1, min(25, n // 2))),
-        l2=draw(st.sampled_from([0.0, 1.5])),
         max_bins=draw(st.sampled_from([255, 256, 16, 2])))
     return x, y, config
 
@@ -415,7 +414,7 @@ def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
     ("max_bins", 400), ("max_bins", 1), ("iterations", -1),
     ("learning_rate", float("nan")), ("learning_rate", 0.0),
     ("learning_rate", float("inf")), ("max_leaves", 1), ("max_leaves", 65),
-    ("min_samples_leaf", 0), ("l2", -0.5), ("iterations", 2.5), ("l2", None),
+    ("min_samples_leaf", 0), ("iterations", 2.5), ("learning_rate", None),
     ("max_leaves", True),
     ("iterations", gbrt.MAX_ITERATIONS + 1), ("iterations", 10**23)])
 def test_config_out_of_range_rejected(field, value):
@@ -431,7 +430,7 @@ def test_config_range_edges_accepted():
     x = np.linspace(0, 1, 40).reshape(-1, 1)
     forest = gbrt.fit(x, x.ravel(), GBRTConfig(
         max_bins=256, iterations=1, max_leaves=2, min_samples_leaf=1,
-        l2=0.0, learning_rate=1e-9))
+        learning_rate=1e-9))
     assert forest.n_trees == 1
     assert from_dict(GBRTConfig, to_dict(forest.config)) == forest.config
     assert GBRTConfig(iterations=gbrt.MAX_ITERATIONS).iterations == 10**6

@@ -301,7 +301,9 @@ def test_predictions_fingerprint_pinned():
     over the held-out rows of the pinned synth corpus (the corpus of
     test_feature_matrix_fingerprint_pinned: fit on the first 160 of 240
     records, seed 17), both routes trained by a small GBRT. The 80 held-out
-    rows hold 35 distinct texts."""
+    rows hold 35 distinct texts. A second SHA-256 covers the serialized
+    bundle's array payload, every byte between the JSON header (which holds
+    the creation time and the format version) and the trailer."""
     records = generate(WorkloadConfig(n_queries=240, seed=17))
     b = train(records[:160], TrainConfig(
         featurizer=FeaturizerConfig(svd_components=24),
@@ -313,6 +315,10 @@ def test_predictions_fingerprint_pinned():
                         r.complexity_score] for r in results])
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
         "31d320fd8e645181e000c2ecabbb5fb2e68ee56b81e9b32f61308d291d463ffc")
+    data = serialize_bundle(b)
+    header_len = int.from_bytes(data[8:16], "little")
+    assert hashlib.sha256(data[16 + header_len:-32]).hexdigest() == (
+        "f63d372fe4df73f6b1a31f8b2c822c8da949b83acedc71d1a4666ad0ac492733")
 
 
 NO_SCIPY_SCRIPT = """
