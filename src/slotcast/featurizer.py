@@ -6,12 +6,18 @@ fitted state.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -163,6 +169,10 @@ def transform_text_corpus(state: TextVectorizerState,
 class SvdBasis:
     components: np.ndarray        # (k, V), orthonormal rows
     singular_values: np.ndarray   # (k,), non-increasing, positive
+    # fit_svd's eigensolver ran on one BLAS thread, or did not run, so the
+    # bits do not depend on the thread count. A loaded basis does not know;
+    # the bundle metadata keeps the fitted value.
+    single_thread: bool = True
 
     @property
     def k(self) -> int:
@@ -207,6 +217,44 @@ def _transpose_times(rows: CorpusRows, u: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's
+    wheel bundles, or None where numpy ships no such library or it lacks
+    the symbols (another BLAS, another platform)."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "libscipy_openblas64_*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)  # numpy loaded it: the same handle
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Run the block on one OpenBLAS thread and yield whether the pin
+    holds; the old thread count is restored after, also on error. Without
+    the OpenBLAS symbols the block runs unpinned and False is yielded."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield False
+        return
+    get, put = threads
+    old = get()
+    try:
+        put(1)
+        yield get() == 1
+    finally:
+        put(old)
+
+
 def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
     """Exact truncated SVD of sparse rows: the top-k eigenpairs of their
     smaller Gram matrix (AᵀA when it has no more columns than rows, else
@@ -227,6 +275,11 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
     rank. From AAᵀ the components are ``Aᵀu / sigma``, and a component
     whose sigma is near the cutoff is orthonormal to the others only to
     within about ``eps * sigma_max**2 / sigma**2``.
+
+    The eigensolver runs on one BLAS thread where OpenBLAS lets it be
+    pinned (``single_thread`` says whether it was): LAPACK's eigenvectors
+    differ in their last bits between thread counts, so the same rows would
+    give different bases on machines with different CPU counts.
     """
     n, v = tfidf_rows.shape
     a = CorpusRows(np.asarray(tfidf_rows.data, dtype=np.float64),
@@ -245,7 +298,9 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
             "rows must hold strictly increasing columns inside "
             f"0..{v - 1}")
     tall = v <= n
-    lam, vecs = np.linalg.eigh(_gram(a if tall else _transpose(a)))
+    gram = _gram(a if tall else _transpose(a))
+    with _one_blas_thread() as single_thread:
+        lam, vecs = np.linalg.eigh(gram)
     lam, vecs = lam[::-1], vecs[:, ::-1]  # descending
     tol = max(lam[0], 0.0) * max(n, v) * np.finfo(np.float64).eps
     rank = min(k, int(np.count_nonzero(lam > tol)))
@@ -260,7 +315,8 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
         if vt[i, j] < 0:
             vt[i] = -vt[i]
     return SvdBasis(components=np.ascontiguousarray(vt),
-                    singular_values=np.ascontiguousarray(s))
+                    singular_values=np.ascontiguousarray(s),
+                    single_thread=single_thread)
 
 
 def project_text(basis: SvdBasis, text: TextRows) -> np.ndarray:

@@ -33,9 +33,13 @@ class GBRTConfig:
     256), a leaf needs a row and a tree room for one split but at most
     MAX_LEAVES leaves (Forest numbers them as the bits of one word), and
     iterations stay below MAX_ITERATIONS (fit allocates its loss curve up
-    front)."""
-    learning_rate: float = setting(0.07, gt=0)
-    iterations: int = setting(300, ge=0, le=MAX_ITERATIONS)
+    front).
+
+    The defaults are scikit-learn's HistGradientBoostingRegressor defaults
+    (max_iter=100, learning_rate=0.1, max_leaf_nodes=31,
+    min_samples_leaf=20, max_bins=255), the estimator the paper names."""
+    learning_rate: float = setting(0.1, gt=0)
+    iterations: int = setting(100, ge=0, le=MAX_ITERATIONS)
     max_leaves: int = setting(31, ge=2, le=MAX_LEAVES)
     min_samples_leaf: int = setting(20, ge=1)
     max_bins: int = setting(255, ge=2, le=_BINS)

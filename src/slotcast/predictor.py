@@ -144,6 +144,8 @@ def train(records: Sequence[QueryRecord],
 
     Routes with fewer than ``router.min_subset`` records fall back to a
     unified forest trained on all records (``ModelBundle.fallback_routes``).
+    A route that holds every record is served by that unified forest too:
+    its own forest would be the same one, fitted twice.
     """
     config = config or TrainConfig()
     n = len(records)
@@ -163,8 +165,8 @@ def train(records: Sequence[QueryRecord],
     }
     forests: Dict[str, Forest] = {}
     for route, idx in routes.items():
-        if idx.size >= max(config.router.min_subset,
-                           2 * config.gbrt.min_samples_leaf):
+        if n > idx.size >= max(config.router.min_subset,
+                               2 * config.gbrt.min_samples_leaf):
             forests[route] = gbrt.fit(matrix.rows[idx], y[idx], config.gbrt)
     if len(forests) < len(routes):
         forests[ROUTE_UNIFIED] = gbrt.fit(matrix.rows, y, config.gbrt)
@@ -175,6 +177,7 @@ def train(records: Sequence[QueryRecord],
         "route_counts": {r: int(i.size) for r, i in routes.items()},
         "train_target_mean": float(actual_slot.mean()),
         "train_target_median": float(np.median(actual_slot)),
+        "svd_single_thread": featurizer.svd_basis.single_thread,
     }
     return ModelBundle(featurizer=featurizer, router=config.router,
                        forests=forests, metadata=metadata)

@@ -160,7 +160,7 @@ def test_criterion_4_gbdt_properties(capsys):
         x = rng.normal(size=(2000, 10))
         y = x[:, 0] * 2 - x[:, 3] + np.sin(x[:, 5]) + rng.normal(size=2000) * 0.3
         forest = gbrt.fit(x, y, GBRTConfig())
-        assert len(forest.train_losses) == 300
+        assert len(forest.train_losses) == 100
         assert np.all(np.diff(forest.train_losses) <= 1e-12)
 
         xl = np.linspace(0, 1, 200).reshape(-1, 1)

@@ -23,6 +23,8 @@ from slotcast.featurizer import (
     Featurizer,
     FeaturizerConfig,
     _gram,
+    _one_blas_thread,
+    _openblas_threads,
     _transpose,
     _transpose_times,
     fit_svd,
@@ -218,6 +220,24 @@ def test_svd_deterministic():
     b2 = fit_svd(a, k=5)
     assert np.array_equal(b1.components, b2.components)
     assert np.array_equal(b1.singular_values, b2.singular_values)
+
+
+def test_one_blas_thread_pins_and_restores_the_count():
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+    get, _ = threads
+    before = get()
+    with _one_blas_thread() as held:
+        assert held and get() == 1
+    assert get() == before
+    with pytest.raises(ZeroDivisionError):
+        with _one_blas_thread():
+            1 / 0
+    assert get() == before
+    a = sp.random(30, 80, density=0.1,
+                  random_state=np.random.RandomState(2)).tocsr()
+    assert fit_svd(a, k=5).single_thread
 
 
 @st.composite

@@ -387,7 +387,8 @@ def test_fit_fingerprint_pinned():
     """SHA-256 over the forest arrays, as the unguarded 256-bins-wide
     split search grew them; any change to the trees changes it."""
     x, y = mixed_matrix()
-    _, arrays = gbrt.fit(x, y, GBRTConfig(iterations=40)).get_state()
+    _, arrays = gbrt.fit(
+        x, y, GBRTConfig(iterations=40, learning_rate=0.07)).get_state()
     digest = hashlib.sha256()
     for name in sorted(arrays):
         digest.update(name.encode())
@@ -424,6 +425,18 @@ def test_config_out_of_range_rejected(field, value):
     setattr(config, field, value)  # changed after construction
     with pytest.raises(ConfigError, match=f"gbrt.{field}"):
         gbrt.fit(np.zeros((50, 1)), np.zeros(50), config)
+
+
+def test_defaults_are_scikit_learns():
+    """GBRTConfig() is scikit-learn's HistGradientBoostingRegressor at its
+    documented defaults (scikit-learn API reference,
+    sklearn.ensemble.HistGradientBoostingRegressor: max_iter=100,
+    learning_rate=0.1, max_leaf_nodes=31, min_samples_leaf=20,
+    max_bins=255), the estimator the paper names. Literal values, as
+    scikit-learn is not a dependency."""
+    assert to_dict(GBRTConfig()) == {
+        "iterations": 100, "learning_rate": 0.1, "max_leaves": 31,
+        "min_samples_leaf": 20, "max_bins": 255}
 
 
 def test_config_range_edges_accepted():

@@ -144,6 +144,28 @@ def test_fallback_to_unified_when_subset_small(small_train_config):
     assert predict(b, complex_rec).route == ROUTE_COMPLEX  # route still reported
 
 
+@pytest.mark.parametrize("threshold", [0, 10**6])
+def test_one_route_with_every_record_fits_one_forest(
+        workload, small_train_config, threshold):
+    """Where one route holds every record (threshold 0: all complex; above
+    every score: all simple) only the unified forest is fitted and stored,
+    and it scores as the route's own forest fitted on every row would."""
+    config = dataclasses.replace(small_train_config,
+                                 router=Router(threshold=threshold))
+    b = train(workload, config)
+    assert set(b.forests) == {ROUTE_UNIFIED}
+    assert b.fallback_routes == [ROUTE_SIMPLE, ROUTE_COMPLEX]
+    assert sorted(b.metadata["route_counts"].values()) == [0, len(workload)]
+    cleaned = [clean_query(r.query_text) for r in workload]
+    reports = [predictor.complexity_score(q) for q in cleaned]
+    rows = b.featurizer.transform(workload, reports, cleaned).rows
+    y = transform_target(np.array([r.slot_min for r in workload]))
+    idx = np.arange(len(workload))  # the route's rows, as train selects them
+    route_forest = gbrt.fit(rows[idx], y[idx], config.gbrt)
+    got = np.array([p.log_space_value for p in predict_many(b, workload)])
+    assert got.tobytes() == route_forest.predict(rows).tobytes()
+
+
 def test_too_few_records():
     records = generate(WorkloadConfig(n_queries=10, seed=1))
     with pytest.raises(TooFewSamples):
@@ -307,7 +329,8 @@ def test_predictions_fingerprint_pinned():
     records = generate(WorkloadConfig(n_queries=240, seed=17))
     b = train(records[:160], TrainConfig(
         featurizer=FeaturizerConfig(svd_components=24),
-        gbrt=GBRTConfig(iterations=30, min_samples_leaf=5),
+        gbrt=GBRTConfig(iterations=30, min_samples_leaf=5,
+                        learning_rate=0.07),
         router=Router(min_subset=20)))
     assert set(b.forests) == {ROUTE_SIMPLE, ROUTE_COMPLEX}
     results = predict_many(b, records[160:])
@@ -358,6 +381,51 @@ def test_no_command_imports_scipy(tmp_path):
         capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 6, "scipy": []}
+
+
+def test_metadata_records_the_blas_pin(bundle, workload, small_train_config,
+                                       monkeypatch):
+    assert bundle.metadata["svd_single_thread"] is True
+    # without OpenBLAS's thread symbols the SVD runs unpinned and says so
+    monkeypatch.setattr(featurizer, "_openblas_threads", lambda: None)
+    b = train(workload, small_train_config)
+    assert b.metadata["svd_single_thread"] is False
+    assert deserialize_bundle(serialize_bundle(b)).metadata[
+        "svd_single_thread"] is False
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib, json
+from slotcast.featurizer import FeaturizerConfig
+from slotcast.gbrt import GBRTConfig
+from slotcast.predictor import TrainConfig, serialize_bundle, train
+from slotcast.synth import WorkloadConfig, generate
+b = train(generate(WorkloadConfig(n_queries=400, seed=5)), TrainConfig(
+    featurizer=FeaturizerConfig(svd_components=32),
+    gbrt=GBRTConfig(iterations=5, min_samples_leaf=5)))
+data = serialize_bundle(b)
+header_len = int.from_bytes(data[8:16], "little")
+print(json.dumps([hashlib.sha256(data[16 + header_len:-32]).hexdigest(),
+                  b.metadata["svd_single_thread"]]))
+"""
+
+
+def test_bundle_arrays_do_not_depend_on_blas_threads():
+    """The same records train the same bundle arrays with one OpenBLAS
+    thread and with two. The corpus's 253 x 253 Gram matrix is one whose
+    unpinned eigenvectors differ in their last bits between the two."""
+    src = Path(predictor.__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+            capture_output=True, text=True, check=True)
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    if not runs[0][1]:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+    assert runs[0] == runs[1]
 
 
 def test_metadata_train_constants(bundle, workload):
