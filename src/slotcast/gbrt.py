@@ -81,9 +81,6 @@ class BinMapper:
     def n_features(self) -> int:
         return len(self.bin_edges)
 
-    def missing_bin(self, feature: int) -> int:
-        return int(self._missing[feature])
-
     @classmethod
     def fit(cls, x: np.ndarray, max_bins: int = 255) -> "BinMapper":
         """Edges from every finite value of each column of x: one bin per
@@ -174,93 +171,142 @@ class HistLayout:
         self.rank = np.concatenate(ranks)
         self.size = start
 
-
-def histograms(xb: np.ndarray, idx: np.ndarray, g: np.ndarray,
-               layout: HistLayout) -> np.ndarray:
-    """Gradient sums (row 0) and row counts (row 1) of the given rows per
-    feature bin, in layout's flat order."""
-    flat = (xb[idx] + layout.offsets).ravel()
-    w = np.broadcast_to(g[idx][:, None], (idx.size, xb.shape[1])).ravel()
-    hist = np.empty((2, layout.size))
-    hist[0] = np.bincount(flat, weights=w, minlength=layout.size)
-    hist[1] = np.bincount(flat, minlength=layout.size)
-    return hist
+    def cumsum(self, hist: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Running sums of hist along each feature's bins, into out."""
+        for start, members, width in self.blocks:
+            block = slice(start, start + members * width)
+            np.cumsum(hist[block].reshape(members, width), axis=1,
+                      out=out[block].reshape(members, width))
+        return out
 
 
-def _best_split(hist: np.ndarray, sum_g: float, cnt: float, min_leaf: int,
-                layout: HistLayout) -> Optional[Tuple[float, int, int]]:
+class Slots:
+    """Split search's arrays, made once per fit: index, each row's histogram
+    slot per feature (bin + layout offset); scratch to gather a node's slots
+    and gradients into and to compute gains in; and the root's counts and
+    their running sums, the same for every tree."""
+
+    def __init__(self, xb: np.ndarray, layout: HistLayout):
+        self.layout = layout
+        self.index = np.add(xb, layout.offsets, dtype=np.intp)
+        self.gathered = np.empty_like(self.index)
+        self.weights = np.empty(self.index.shape)
+        self.gain = np.empty((3, layout.size))
+        self.root_counts = np.bincount(
+            self.index.ravel(), minlength=layout.size).astype(np.float64)
+        self.root_cumulative = layout.cumsum(self.root_counts,
+                                             np.empty(layout.size))
+
+
+def histograms(slots: Slots, idx: np.ndarray,
+               g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradient sums and row counts of the rows idx (distinct, ascending)
+    per feature bin, as two 1-D arrays in the layout's flat order. The
+    root, every row, reads the slot matrix as it is and returns the fit's
+    root counts, which callers must not write; other nodes gather into the
+    fit's scratch."""
+    size, k = slots.layout.size, idx.size
+    w = slots.weights[:k]
+    np.copyto(w, g[idx, None])
+    if k == len(slots.index):
+        return (np.bincount(slots.index.ravel(), weights=w.ravel(),
+                            minlength=size), slots.root_counts)
+    # clip skips the buffered copy that take's default mode makes for out=
+    flat = np.take(slots.index, idx, axis=0, out=slots.gathered[:k],
+                   mode="clip").ravel()
+    return (np.bincount(flat, weights=w.ravel(), minlength=size),
+            np.bincount(flat, minlength=size).astype(np.float64))
+
+
+def _children(slots: Slots, g: np.ndarray, small_idx: np.ndarray,
+              hist: np.ndarray, left_c: np.ndarray) -> Tuple[tuple, tuple]:
+    """(gradient histogram, running counts) of the smaller child (rows
+    small_idx) and of its sibling, from the parent's. Counts are whole
+    numbers, so the sibling's running counts are exactly the parent's less
+    the smaller child's; gradient sums round, so only their histograms
+    subtract, and the sibling's search sums parent - small."""
+    small_hist, counts = histograms(slots, small_idx, g)
+    small_c = slots.layout.cumsum(counts, counts)
+    return (small_hist, small_c), (hist - small_hist, left_c - small_c)
+
+
+def _best_split(hist: np.ndarray, left_c: np.ndarray, sum_g: float,
+                cnt: float, min_leaf: int,
+                slots: Slots) -> Optional[Tuple[float, int, int]]:
     """Maximize variance-reduction gain over every (feature, bin) split, the
-    bin going left; ties break on lowest feature then lowest bin. The gain
-    is computed at every slot, so the cost does not depend on how many
-    splits are valid."""
-    left = np.empty_like(hist)
-    for start, members, width in layout.blocks:
-        block = slice(start, start + members * width)
-        np.cumsum(hist[:, block].reshape(2, members, width), axis=2,
-                  out=left[:, block].reshape(2, members, width))
-    left_g, left_c = left
-    right_g = sum_g - left_g
-    right_c = cnt - left_c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = left_g ** 2 / left_c + right_g ** 2 / right_c - sum_g ** 2 / cnt
+    bin going left; ties break on lowest feature then lowest bin, from the
+    node's gradient histogram and running counts. The gain is computed in
+    scratch at every slot, so the cost does not depend on how many splits
+    are valid; empty bins divide by zero under the caller's np.errstate."""
+    gain, right_g, right_c = slots.gain
+    slots.layout.cumsum(hist, gain)  # the left gradient sums
+    np.subtract(sum_g, gain, out=right_g)
+    np.subtract(cnt, left_c, out=right_c)
+    np.divide(np.square(gain, out=gain), left_c, out=gain)
+    gain += np.divide(np.square(right_g, out=right_g), right_c, out=right_g)
+    gain -= sum_g ** 2 / cnt
     # a feature's last bin and its padding put every row left: never valid
-    np.copyto(gain, -np.inf, where=np.minimum(left_c, right_c) < min_leaf)
+    np.copyto(gain, -np.inf,
+              where=np.minimum(left_c, right_c, out=right_c) < min_leaf)
     best = gain.max(initial=-np.inf)  # NaN if any valid gain is NaN
     if not np.isfinite(best) or best <= 1e-12:
         return None
-    f, b = divmod(int(layout.rank[gain == best].min()), _BINS)
+    f, b = divmod(int(slots.layout.rank[gain == best].min()), _BINS)
     return float(best), f, b
 
 
 def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig,
-               layout: HistLayout) -> Tuple[List[list], np.ndarray]:
+               slots: Slots) -> Tuple[List[list], np.ndarray]:
     """Grow one tree on residuals g; returns its nodes as [feature,
     threshold, left, right, value] rows, children after their parent, and
     its per-row output. Only a node that may still be split gets a
     histogram and a split search: it needs 2 * min_samples_leaf rows and
-    a leaf budget that outlasts its parent's split. A leaf's value is its
-    rows' mean residual: fit's root holds at least 2 * min_samples_leaf
-    rows and each child at least min_samples_leaf >= 1."""
+    a leaf budget that outlasts its parent's split; the root's search takes
+    the fit's root counts, and a split bins only its smaller child. A
+    leaf's value is its rows' mean residual: fit's root holds at least
+    2 * min_samples_leaf rows and each child at least min_samples_leaf >= 1.
+    The caller sets np.errstate for the searches' divisions."""
     n = xb.shape[0]
     min_leaf = config.min_samples_leaf
     nodes: List[list] = [[-1, 0, -1, -1, 0.0]]
     out = np.empty(n)
     tick = itertools.count()  # heap tiebreak: first pushed pops first
-    # heap entries: (-gain, tiebreak, node id, split, histogram, gradient sum)
+    # heap entries: (-gain, tiebreak, node id, split, (gradient histogram,
+    # running counts), gradient sum)
     heap: List[tuple] = []
 
-    def push(nid: int, hist: np.ndarray, s: float, c: float) -> None:
-        split = _best_split(hist, s, c, min_leaf, layout)
+    def push(nid: int, state: tuple, s: float, c: float) -> None:
+        split = _best_split(*state, s, c, min_leaf, slots)
         if split is not None:
-            heapq.heappush(heap, (-split[0], next(tick), nid, split, hist, s))
+            heapq.heappush(heap, (-split[0], next(tick), nid, split, state, s))
 
     root_idx = np.arange(n)
     sum_g, cnt = float(g[root_idx].sum()), float(n)
     leaves: Dict[int, np.ndarray] = {0: root_idx}  # unsplit node -> its rows
     if n >= 2 * min_leaf:
-        push(0, histograms(xb, root_idx, g, layout), sum_g, cnt)
+        push(0, (histograms(slots, root_idx, g)[0], slots.root_cumulative),
+             sum_g, cnt)
     n_leaves = 1
     while heap and n_leaves < config.max_leaves:
-        _, _, nid, (_, f, b), hist, sg = heapq.heappop(heap)
+        _, _, nid, (_, f, b), state, sg = heapq.heappop(heap)
         idx = leaves.pop(nid)
         go_left = xb[idx, f] <= b
         li, ri = idx[go_left], idx[~go_left]
-        hists = [None, None]
+        states = [None, None]
         if (n_leaves + 1 < config.max_leaves
                 and max(li.size, ri.size) >= 2 * min_leaf):
-            # compute the smaller child's histogram; sibling by subtraction
             small = int(li.size > ri.size)
-            hists[small] = histograms(xb, (li, ri)[small], g, layout)
-            hists[1 - small] = hist - hists[small]
+            states[small], states[1 - small] = _children(
+                slots, g, (li, ri)[small], *state)
         left_sum = g[li].sum()
         nodes[nid][:4] = [f, b, len(nodes), len(nodes) + 1]
-        for child_idx, chist, csg in ((li, hists[0], float(left_sum)),
-                                      (ri, hists[1], float(sg - left_sum))):
+        for child_idx, cstate, csg in ((li, states[0], float(left_sum)),
+                                       (ri, states[1], float(sg - left_sum))):
             cid, c = len(nodes), float(child_idx.size)
             nodes.append([-1, 0, -1, -1, csg / c])
             leaves[cid] = child_idx
-            if chist is not None and c >= 2 * min_leaf:
-                push(cid, chist, csg, c)
+            if cstate is not None and c >= 2 * min_leaf:
+                push(cid, cstate, csg, c)
         n_leaves += 1
 
     if len(nodes) == 1:  # root stayed a leaf
@@ -508,7 +554,7 @@ def fit(features: np.ndarray, targets: np.ndarray,
 
     mapper = BinMapper.fit(x, max_bins=config.max_bins)
     xb = mapper.transform(x)
-    layout = HistLayout(mapper.bin_edges)
+    slots = Slots(xb, HistLayout(mapper.bin_edges))
     b0 = float(y.mean())
     pred = np.full(y.shape, b0)
     nodes: List[list] = []
@@ -516,7 +562,8 @@ def fit(features: np.ndarray, targets: np.ndarray,
     losses = np.empty(config.iterations)
     for m in range(config.iterations):
         residual = y - pred
-        tree, out = _grow_tree(xb, residual, config, layout)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tree, out = _grow_tree(xb, residual, config, slots)
         pred = pred + config.learning_rate * out
         nodes.extend(tree)
         sizes.append(len(tree))

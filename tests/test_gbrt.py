@@ -2,15 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from naive_oracles import naive_bin_row, naive_fit, naive_forest_predict
+from naive_oracles import (_naive_best_split, _naive_histograms, naive_bin_row,
+                           naive_fit, naive_forest_predict)
 from slotcast import gbrt
 from slotcast.config import from_dict, to_dict
 from slotcast.errors import (ConfigError, CorruptBundle, DimensionMismatch,
                              NonFiniteTarget, TooFewSamples)
-from slotcast.gbrt import (BinMapper, Forest, GBRTConfig, HistLayout,
+from slotcast.gbrt import (BinMapper, Forest, GBRTConfig, HistLayout, Slots,
                            histograms)
 
 
@@ -74,14 +75,14 @@ def test_every_finite_value_maps_to_one_bin():
     mapper = BinMapper.fit(x)
     xb = mapper.transform(x)
     for f in range(2):
-        assert xb[:, f].max() < mapper.missing_bin(f)
+        assert xb[:, f].max() < len(mapper.bin_edges[f]) + 1
 
 
 def test_missing_values_route_to_missing_bin():
     x = np.array([[1.0], [2.0], [np.nan], [3.0]])
     mapper = BinMapper.fit(x)
     xb = mapper.transform(x)
-    assert xb[2, 0] == mapper.missing_bin(0)
+    assert xb[2, 0] == len(mapper.bin_edges[0]) + 1
     assert np.array_equal(mapper.transform(x), xb)  # deterministic
 
 
@@ -90,7 +91,7 @@ def test_high_cardinality_respects_bin_budget():
     x = rng.uniform(size=(5000, 1))
     mapper = BinMapper.fit(x, max_bins=255)
     assert len(mapper.bin_edges[0]) <= 254
-    assert mapper.missing_bin(0) <= 255
+    assert len(mapper.bin_edges[0]) + 1 <= 255
 
 
 @st.composite
@@ -247,7 +248,7 @@ def test_split_gains_positive_and_histogram_consistency():
     config = small_config(iterations=3)
     forest = gbrt.fit(x, y, config)
     xb = forest.bin_mapper.transform(x)
-    layout = HistLayout(forest.bin_mapper.bin_edges)
+    slots = Slots(xb, HistLayout(forest.bin_mapper.bin_edges))
 
     # replay residuals to walk each tree's splits
     pred = np.full(y.shape, forest.b0)
@@ -266,9 +267,9 @@ def test_split_gains_positive_and_histogram_consistency():
             li, ri = idx[go_left], idx[~go_left]
             assert li.size >= config.min_samples_leaf
             assert ri.size >= config.min_samples_leaf
-            pg, pc = histograms(xb, idx, g, layout)
-            lg, lc = histograms(xb, li, g, layout)
-            rg, rc = histograms(xb, ri, g, layout)
+            pg, pc = histograms(slots, idx, g)
+            lg, lc = histograms(slots, li, g)
+            rg, rc = histograms(slots, ri, g)
             assert np.allclose(pg, lg + rg, atol=1e-9)
             assert np.allclose(pc, lc + rc)
             # variance-reduction gain of the accepted split is positive
@@ -364,6 +365,95 @@ def test_fit_matches_unguarded_full_width_oracle_bit_for_bit(case):
         got = getattr(forest, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert forest.train_losses.tobytes() == losses.tobytes()
+
+
+@st.composite
+def node_cases(draw):
+    """Columns of every kind binned at max_bins 2, 16 or 255, residuals,
+    the rows of a node below the root, and a feature and one of its value
+    bins to split a node at; a child may hold one row, as
+    min_samples_leaf = 1 allows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.one_of(st.integers(2, 120), st.integers(256, 300)))
+    kinds = draw(st.lists(st.sampled_from(
+        ["missing", "binary", "dense", "rounded", "counts"]),
+        min_size=1, max_size=6))
+    x = np.column_stack([column(rng, k, n) for k in kinds])
+    mapper = BinMapper.fit(x, max_bins=draw(st.sampled_from([2, 16, 255])))
+    xb = mapper.transform(x)
+    share = draw(st.floats(0.05, 1.0))
+    subset = np.flatnonzero(rng.random(n) < share)
+    subset = subset if subset.size < n else subset[1:]
+    f = draw(st.integers(0, x.shape[1] - 1))
+    b = draw(st.integers(0, len(mapper.bin_edges[f])))
+    return mapper, xb, rng.normal(size=n), subset, f, b
+
+
+def in_slots(hist, layout):
+    """A (features x 256) oracle table in the layout's flat slot order."""
+    return np.ascontiguousarray(hist.ravel()[layout.rank])
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_cases())
+def test_histograms_match_naive_oracle(case):
+    """The root reads the slot matrix as it is and returns the fit's root
+    counts; any other node gathers into scratch. Both give the oracle's
+    sums bit for bit, for every row, one row and a random subset."""
+    mapper, xb, g, subset, _, _ = case
+    layout = HistLayout(mapper.bin_edges)
+    slots = Slots(xb, layout)
+    one = np.array([len(xb) // 2])
+    for idx in (np.arange(len(xb)), one, subset):
+        got_g, got_c = histograms(slots, idx, g)
+        want_g, want_c = _naive_histograms(xb, idx, g)
+        assert got_g.tobytes() == in_slots(want_g, layout).tobytes()
+        assert got_c.tobytes() == in_slots(want_c, layout).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_cases(), st.booleans())
+def test_carried_counts_equal_fresh_running_sums(case, at_root):
+    """The fit's root counts and their running sums, and a sibling's running
+    counts carried as the parent's less the smaller child's, equal fresh
+    sums byte for byte. Its gradient histogram is parent - small and its
+    search (min_samples_leaf = 1) finds the oracle's split over parent -
+    small and its own counts, gain bits included: a carry of gradient
+    running sums, cumsum(parent) - cumsum(small), rounds differently and
+    fails this."""
+    mapper, xb, g, subset, f, b = case
+    layout = HistLayout(mapper.bin_edges)
+    slots = Slots(xb, layout)
+    root = np.arange(len(xb))
+    root_c = _naive_histograms(xb, root, g)[1]
+    assert slots.root_counts.tobytes() == in_slots(root_c, layout).tobytes()
+    assert slots.root_cumulative.tobytes() == in_slots(
+        np.cumsum(root_c, axis=1), layout).tobytes()
+
+    parent = root if at_root else subset
+    go_left = xb[parent, f] <= b
+    li, ri = parent[go_left], parent[~go_left]
+    assume(li.size and ri.size)
+    small, large = (li, ri) if li.size <= ri.size else (ri, li)
+    parent_g, parent_c = _naive_histograms(xb, parent, g)
+    hist = in_slots(parent_g, layout)
+    left_c = in_slots(np.cumsum(parent_c, axis=1), layout)
+    (small_hist, small_c), (large_hist, large_c) = gbrt._children(
+        slots, g, small, hist, left_c)
+
+    small_g, small_own = _naive_histograms(xb, small, g)
+    large_own = _naive_histograms(xb, large, g)[1]
+    assert small_c.tobytes() == in_slots(
+        np.cumsum(small_own, axis=1), layout).tobytes()
+    assert large_c.tobytes() == in_slots(
+        np.cumsum(large_own, axis=1), layout).tobytes()
+    assert small_hist.tobytes() == in_slots(small_g, layout).tobytes()
+    assert large_hist.tobytes() == (hist - small_hist).tobytes()
+    sum_g, cnt = float(g[large].sum()), float(large.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = gbrt._best_split(large_hist, large_c, sum_g, cnt, 1, slots)
+    assert got == _naive_best_split(parent_g - small_g, large_own, sum_g,
+                                    cnt, 1)
 
 
 def mixed_matrix(n=1500, seed=2024):
