@@ -82,15 +82,29 @@ def _terms(q: CleanedQuery) -> List[str]:
     return [*toks, *map(" ".join, zip(toks, toks[1:]))]
 
 
+def _distinct(corpus: Sequence[CleanedQuery]
+              ) -> Tuple[List[CleanedQuery], np.ndarray]:
+    """The distinct CleanedQuery objects of corpus, in first-seen order, and
+    each record's index among them. Records with one text share one object
+    (predictor._analyze), so the text stages run once per text."""
+    objects = {id(q): q for q in corpus}
+    at = dict(zip(objects, range(len(objects))))
+    return (list(objects.values()),
+            np.array([at[id(q)] for q in corpus], dtype=np.intp))
+
+
 def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
              max_vocab: int = 50_000) -> TextVectorizerState:
-    """Build a unigram+bigram vocabulary with smoothed idf weights."""
+    """Build a unigram+bigram vocabulary with smoothed idf weights. The
+    terms of each distinct CleanedQuery object are found once and counted
+    once per record that holds it."""
     if len(corpus) == 0:
         raise EmptyCorpus("fit_text requires a non-empty corpus")
+    distinct, which = _distinct(corpus)
     df: Dict[str, int] = {}
-    for q in corpus:
+    for q, weight in zip(distinct, np.bincount(which).tolist()):
         for term in set(_terms(q)):
-            df[term] = df.get(term, 0) + 1
+            df[term] = df.get(term, 0) + weight
     kept = [t for t, c in df.items() if c >= min_df]
     # cap by descending document frequency, ties lexicographic
     kept.sort(key=lambda t: (-df[t], t))
@@ -155,10 +169,20 @@ def transform_text_corpus(state: TextVectorizerState,
                           corpus: Iterable[CleanedQuery]) -> CorpusRows:
     """transform_text's rows of a whole corpus and their (n, V) shape,
     fit_svd's input. The rows are canonical, each row's columns strictly
-    increasing, which fit_svd needs to add in scipy's order."""
-    corpus = list(corpus)
-    return CorpusRows(*transform_text(state, corpus),
-                      shape=(len(corpus), state.size))
+    increasing, which fit_svd needs to add in scipy's order. Each distinct
+    CleanedQuery object is vectorized once and its row gathered for every
+    record that holds it: a row is normalised on its own, so a gathered
+    row holds the bytes of one built for its record."""
+    distinct, which = _distinct(list(corpus))
+    data, indices, indptr = transform_text(state, distinct)
+    lengths = np.diff(indptr)[which]
+    out_ptr = np.zeros(which.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out_ptr[1:])
+    # position in the distinct rows of each entry of each record's row
+    pos = np.repeat(indptr[which] - out_ptr[:-1], lengths)
+    pos += np.arange(out_ptr[-1])
+    return CorpusRows(data[pos], indices[pos], out_ptr,
+                      shape=(which.size, state.size))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +556,10 @@ class Featurizer:
         rows = np.zeros((n, len(self.column_names)))
         # each row is normalised and projected on its own, so a shared row
         # holds the same bytes as one built per record
-        distinct = {id(q): q for q in cleaned}
-        at = {key: i for i, key in enumerate(distinct)}
-        text = project_text(self.svd_basis, transform_text(
-            self.text_state, list(distinct.values())))
-        rows[:, :k] = text[[at[id(q)] for q in cleaned]]
+        distinct, which = _distinct(cleaned)
+        text = project_text(self.svd_basis,
+                            transform_text(self.text_state, distinct))
+        rows[:, :k] = text[which]
         raw = self._raw(records, reports)
         n_num = self.num_mean.shape[0]
         num, vol = raw[:n_num], raw[n_num:n_num + 4]

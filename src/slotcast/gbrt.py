@@ -316,6 +316,33 @@ def _grow_tree(xb: np.ndarray, g: np.ndarray, config: GBRTConfig,
     return nodes, out
 
 
+def _feature_dtype(n_features: int) -> type:
+    """The narrowest signed integer type of feature ids 0..n_features - 1
+    and the leaf marker -1."""
+    return np.int16 if n_features <= 2 ** 15 else np.int32
+
+
+def _tested_edges(bin_edges: List[np.ndarray], feature: np.ndarray,
+                  threshold: np.ndarray) -> Tuple[BinMapper, np.ndarray]:
+    """A BinMapper of only the edges some internal node tests, and each
+    node's threshold renumbered into them as uint8: the count of tested
+    thresholds below it. A bin is the count of edges <= x, so bin <= t
+    holds exactly when x < edges[t], and the renumbered test reads the same
+    edge. A threshold at the last value bin, t = len(edges), which sends
+    every finite value left, tests no edge and becomes the new edge
+    count."""
+    inner = feature >= 0
+    key = feature[inner].astype(np.intp) * _BINS + threshold[inner]
+    tested = np.zeros((len(bin_edges), _BINS), dtype=bool)
+    tested.flat[key] = True
+    # a feature has at most 255 thresholds, so its counts fit a uint8
+    below = np.cumsum(tested, axis=1, dtype=np.uint8) - tested
+    renumbered = np.zeros(threshold.size, dtype=np.uint8)
+    renumbered[inner] = below.flat[key]
+    return (BinMapper([e[tested[f, :len(e)]] for f, e in enumerate(bin_edges)]),
+            renumbered)
+
+
 _NODE_ARRAYS = ("node_feature", "node_threshold", "node_left", "node_right",
                 "node_value", "tree_offsets")
 
@@ -337,7 +364,9 @@ def _number_leaves(offsets: np.ndarray, inner: np.ndarray,
                        | (np.maximum(node_left, node_right)
                           >= np.repeat(sizes, sizes)))):
         raise CorruptBundle("forest: child outside its tree")
-    left, right = node_left + base, node_right + base
+    # intp first: a uint64 id plus an intp base would be a float64
+    left = node_left.astype(np.intp) + base
+    right = node_right.astype(np.intp) + base
     # top down: every node must be reached exactly once from its tree's
     # root, which rules out cycles, shared children and unreachable nodes;
     # visits past n stop a runaway frontier
@@ -374,13 +403,15 @@ class Forest:
     """Fitted ensemble held in flat node arrays, as the bundle stores them:
     tree t owns nodes tree_offsets[t]:tree_offsets[t + 1], root first, and
     child ids are local to the tree (fit makes them larger than their
-    parent's)."""
+    parent's). fit stores features, thresholds and child ids in the
+    narrowest integer types that hold them, and keeps in the bin mapper
+    only the edges its nodes test; loading takes any integer type."""
     config: GBRTConfig
     b0: float
     bin_mapper: BinMapper
-    node_feature: np.ndarray    # int32, -1 at leaves
-    node_threshold: np.ndarray  # int32 bin index, go left when bin <= threshold
-    node_left: np.ndarray       # int32 local child ids
+    node_feature: np.ndarray    # int16 (int32 past 2**15 features), -1 at leaves
+    node_threshold: np.ndarray  # uint8 bin index, go left when bin <= threshold
+    node_left: np.ndarray       # int8 local child ids, -1 at leaves
     node_right: np.ndarray
     node_value: np.ndarray      # float64 leaf contributions (log-space)
     tree_offsets: np.ndarray    # int64, n_trees + 1 entries
@@ -404,7 +435,7 @@ class Forest:
         # numbered in order of key = feature * 256 + threshold without a
         # sort; go row n_tests is always true
         key = (self.node_feature[ids].astype(np.intp) * _BINS
-               + self.node_threshold[ids])
+               + self.node_threshold[ids].astype(np.intp))
         used = np.zeros(self.n_features * _BINS, dtype=bool)
         used[key] = True
         keys = np.flatnonzero(used)
@@ -568,8 +599,12 @@ def fit(features: np.ndarray, targets: np.ndarray,
         nodes.extend(tree)
         sizes.append(len(tree))
         losses[m] = float(np.mean((y - pred) ** 2))
-    columns = [np.array(c, dtype=d) for c, d in zip(
-        list(zip(*nodes)) or [()] * 5, (np.int32,) * 4 + (np.float64,))]
-    return Forest(config, b0, mapper, *columns,
+    feature, threshold, left, right, value = (
+        np.array(c, dtype=d) for c, d in zip(
+            list(zip(*nodes)) or [()] * 5,
+            (_feature_dtype(x.shape[1]), np.intp, np.int8, np.int8,
+             np.float64)))
+    tested, threshold = _tested_edges(mapper.bin_edges, feature, threshold)
+    return Forest(config, b0, tested, feature, threshold, left, right, value,
                   np.cumsum(sizes).astype(np.int64), losses)
 

@@ -45,7 +45,9 @@ from .sql_analyzer import (
 # reads every training row)
 # 5: each forest's config no longer holds l2 (the split gain and leaf values
 # take no L2 term)
-FORMAT_VERSION = 5
+# 6: each forest stores only the bin edges its nodes test, thresholds
+# renumbered into them, and its node arrays in narrow integer types
+FORMAT_VERSION = 6
 _MAGIC = b"SLTB"
 _HEADER_KEYS = {"router", "metadata", "featurizer", "forests", "arrays"}
 

@@ -818,17 +818,20 @@ def test_version_mismatch_exit_code(trained, tmp_path, capsys):
     assert "bundle version error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_format_bundle_is_version_error(trained, tmp_path, capsys,
                                             version):
     """A format-1 bundle holds the retired SVD config keys, a format-2 one
     stores facts that format 3 derives, such as its format version in the
     header, up to format 3 each forest's config holds the retired binning
-    sample and its seed, and up to format 4 it holds the retired l2: each
-    asks for a retrain rather than failing on its header."""
+    sample and its seed, up to format 4 it holds the retired l2, and up to
+    format 5 its thresholds are bins of every edge, which format 6 no
+    longer stores: each asks for a retrain rather than failing on its
+    header or arrays."""
     def as_old_format(header):
         for meta in header["forests"].values():
-            meta["config"]["l2"] = 0.0
+            if version <= 4:
+                meta["config"]["l2"] = 0.0
             if version <= 3:
                 meta["config"].update(seed=0, binning_sample=100_000)
         if version <= 2:

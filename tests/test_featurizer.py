@@ -162,6 +162,30 @@ def test_tfidf_rows_unit_or_zero_norm():
     assert np.all((norms == 0) | (np.abs(norms - 1) <= 1e-9))
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+def test_text_fit_runs_once_per_distinct_query(seed):
+    """Training hands fit_text and transform_text_corpus one CleanedQuery
+    object per distinct text, shared by its records; each object is worked
+    on once. The vocabulary, document frequencies, document count and the
+    SVD input rows are byte-equal to those of one fresh object per
+    record, the rows to transform_text's over every record."""
+    rng = np.random.default_rng(seed)
+    texts = [r.query_text for r in generate(
+        WorkloadConfig(n_queries=40, seed=seed))] + ["", "SELECT 1"]
+    picks = [texts[i] for i in rng.integers(0, len(texts), size=150)]
+    objects = {t: cq(t) for t in texts}
+    shared = [objects[t] for t in picks]
+    fresh = [cq(t) for t in picks]
+    got, want = fit_text(shared), fit_text(fresh)
+    assert list(got.vocabulary.items()) == list(want.vocabulary.items())
+    assert got.doc_freq.tobytes() == want.doc_freq.tobytes()
+    assert got.n_docs == want.n_docs == len(picks)
+    rows = transform_text_corpus(got, shared)
+    assert rows.shape == (len(picks), got.size)
+    for a, b in zip(rows[:3], transform_text(got, fresh)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # SVD
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,7 +324,8 @@ def test_state_roundtrip_identical_predictions():
 def column(rng, kind, n):
     if kind == "missing":
         return np.full(n, np.nan)
-    col = {"binary": lambda: rng.integers(0, 2, n).astype(float),
+    col = {"constant": lambda: np.full(n, 2.5),
+           "binary": lambda: rng.integers(0, 2, n).astype(float),
            "dense": lambda: rng.normal(size=n),  # n distinct values
            "rounded": lambda: rng.normal(size=n).round(1),
            "counts": lambda: rng.poisson(4.0, n).astype(float)}[kind]()
@@ -354,17 +357,113 @@ def fit_cases(draw):
     return x, y, config
 
 
+def split_values(edges, feature, threshold):
+    """Per node, the edge its test compares with: go left when x < value,
+    +inf at a split that sends every finite value left, NaN at a leaf."""
+    return np.array([
+        np.nan if f < 0 else (edges[f][t] if t < len(edges[f]) else np.inf)
+        for f, t in zip(feature.tolist(), threshold.tolist())])
+
+
+def full_edge_thresholds(forest, full):
+    """The forest's thresholds as bins of the full BinMapper full, in the
+    int32 of bundle formats 5 and older: each split value's position among
+    its feature's full edges, or their count for +inf."""
+    values = split_values(forest.bin_mapper.bin_edges, forest.node_feature,
+                          forest.node_threshold)
+    out = np.zeros(values.size, dtype=np.int32)
+    for i, (f, v) in enumerate(zip(forest.node_feature.tolist(), values)):
+        if f >= 0:
+            out[i] = np.searchsorted(full.bin_edges[f], v)
+            assert v == np.inf or full.bin_edges[f][out[i]] == v
+    return out
+
+
+NODE_DTYPES = {"node_feature": np.int16, "node_threshold": np.uint8,
+          "node_left": np.int8, "node_right": np.int8,
+          "node_value": np.float64, "tree_offsets": np.int64}
+
+
 @settings(max_examples=60, deadline=None)
 @given(fit_cases())
 def test_fit_matches_unguarded_full_width_oracle_bit_for_bit(case):
+    """The oracle grows its trees on the full edges: each node tests the
+    same split value, and every other node array holds the same numbers,
+    byte for byte in the forest's narrow types."""
     x, y, config = case
     forest = gbrt.fit(x, y, config)
     b0, arrays, losses = naive_fit(x, y, config)
     assert forest.b0 == b0
+    full = BinMapper.fit(x, max_bins=config.max_bins)
+    assert split_values(forest.bin_mapper.bin_edges, forest.node_feature,
+                        forest.node_threshold).tobytes() == split_values(
+        full.bin_edges, arrays["node_feature"],
+        arrays["node_threshold"]).tobytes()
     for name, want in arrays.items():
         got = getattr(forest, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert got.dtype == NODE_DTYPES[name], name
+        if name != "node_threshold":
+            assert np.array_equal(got, want), name
+            assert got.tobytes() == want.astype(got.dtype).tobytes(), name
     assert forest.train_losses.tobytes() == losses.tobytes()
+
+
+def test_feature_ids_are_int16_up_to_2_15_features():
+    """Feature ids run to n_features - 1, and leaves hold -1."""
+    assert gbrt._feature_dtype(2 ** 15) is np.int16
+    assert gbrt._feature_dtype(2 ** 15 + 1) is np.int32
+
+
+@st.composite
+def used_edge_cases(draw):
+    """All-NaN, constant, binary and dense columns binned at max_bins 2, 16
+    or 255, half of them NaN-heavy, and a target that jumps where values
+    are missing, so trees split missing against finite; rows hold every
+    full edge, one ulp either side of it, NaN and +-inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.one_of(st.integers(40, 120), st.integers(256, 300)))
+    kinds = draw(st.lists(st.sampled_from(
+        ["missing", "constant", "binary", "dense"]), min_size=1, max_size=5))
+    x = np.column_stack([column(rng, k, n) for k in kinds])
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.4]))] = np.nan
+    y = (np.nan_to_num(x[:, 0]) + 2.0 * np.isnan(x).sum(axis=1)
+         + rng.normal(size=n) * 0.3)
+    config = GBRTConfig(
+        learning_rate=draw(st.sampled_from([0.07, 0.5])),
+        iterations=draw(st.integers(1, 8)),
+        max_leaves=draw(st.integers(2, 31)),
+        min_samples_leaf=draw(st.integers(1, 10)),
+        max_bins=draw(st.sampled_from([2, 16, 255])))
+    full = BinMapper.fit(x, max_bins=config.max_bins)
+    probes = [np.concatenate([e, np.nextafter(e, -np.inf),
+                              np.nextafter(e, np.inf), [np.nan, np.inf,
+                                                        -np.inf]])
+              for e in full.bin_edges]
+    rows = max(p.size for p in probes)
+    probe_rows = np.column_stack(
+        [rng.permutation(np.resize(p, rows)) for p in probes])
+    return x, y, config, full, probe_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(used_edge_cases())
+def test_used_edge_forest_decides_as_the_full_edge_one(case):
+    """fit keeps only the edges its nodes test; the forest scores every
+    probe row byte for byte as a naive walk of the oracle's trees over the
+    full edges, every kept edge is tested by some node, and each feature's
+    kept edges strictly increase."""
+    x, y, config, full, rows = case
+    forest = gbrt.fit(x, y, config)
+    b0, arrays, _ = naive_fit(x, y, config)
+    oracle = SimpleNamespace(b0=b0, config=config, bin_mapper=full, **arrays)
+    assert_bit_identical(forest.predict(rows),
+                         naive_forest_predict(oracle, rows))
+    inner = forest.node_feature >= 0
+    tested = set(zip(forest.node_feature[inner].tolist(),
+                     forest.node_threshold[inner].tolist()))
+    for f, e in enumerate(forest.bin_mapper.bin_edges):
+        assert np.all(e[1:] > e[:-1])
+        assert all((f, t) in tested for t in range(e.size))
 
 
 @st.composite
@@ -475,10 +574,17 @@ def mixed_matrix(n=1500, seed=2024):
 
 def test_fit_fingerprint_pinned():
     """SHA-256 over the forest arrays, as the unguarded 256-bins-wide
-    split search grew them; any change to the trees changes it."""
+    split search grew them; any change to the trees changes it. The digest
+    is over the arrays as bundle format 5 stored them: the full edges of
+    BinMapper.fit(x), thresholds as bins of those edges, and int32 node
+    ids."""
     x, y = mixed_matrix()
-    _, arrays = gbrt.fit(
-        x, y, GBRTConfig(iterations=40, learning_rate=0.07)).get_state()
+    forest = gbrt.fit(x, y, GBRTConfig(iterations=40, learning_rate=0.07))
+    full = BinMapper.fit(x)
+    _, arrays = dataclasses.replace(forest, bin_mapper=full).get_state()
+    arrays.update(node_threshold=full_edge_thresholds(forest, full),
+                  **{k: arrays[k].astype(np.int32) for k in (
+                      "node_feature", "node_left", "node_right")})
     digest = hashlib.sha256()
     for name in sorted(arrays):
         digest.update(name.encode())
@@ -693,7 +799,10 @@ def corrupted_state(edit):
     x = np.linspace(0, 1, 200).reshape(-1, 2)
     forest = gbrt.fit(x, x[:, 0] * 3, small_config(iterations=4))
     meta, arrays = forest.get_state()
-    arrays = {k: v.copy() for k, v in arrays.items()}
+    # int32 holds every out-of-range value the edits write
+    arrays = {k: v.astype(np.int32) if k in ("node_feature", "node_threshold",
+                                             "node_left", "node_right")
+              else v.copy() for k, v in arrays.items()}
     inner = int(np.flatnonzero(arrays["node_feature"] >= 0)[-1])
     edit(arrays, inner)
     return meta, arrays
@@ -752,6 +861,21 @@ def test_from_state_rejects_unwalkable_arrays(edit):
         Forest.from_state(meta, arrays)
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint16, np.uint64])
+@pytest.mark.parametrize("name", ["node_threshold", "node_left", "node_right"])
+def test_from_state_takes_node_arrays_of_any_integer_type(name, dtype):
+    """A bundle's node arrays may be of any integer type that holds their
+    values. In an unsigned one the leaves' -1 wraps to the type's maximum,
+    which no walk reads."""
+    meta, arrays = corrupted_state(lambda a, i: None)
+    want = Forest.from_state(meta, arrays)
+    arrays[name] = arrays[name].astype(dtype)
+    forest = Forest.from_state(meta, arrays)
+    x = np.array([[0.3, 0.7], [0.99, 0.01], [np.nan, np.inf]])
+    assert_bit_identical(forest.predict(x), want.predict(x))
+    assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
+
+
 @pytest.mark.parametrize("n_leaves", [64, 65])
 def test_from_state_takes_at_most_64_leaves_per_tree(n_leaves):
     """A right-leaning chain of n_leaves leaves: node 2i splits at bin i,
@@ -761,7 +885,9 @@ def test_from_state_takes_at_most_64_leaves_per_tree(n_leaves):
     size = 2 * n_leaves - 1
     ids = np.arange(size, dtype=np.int32)
     inner = (ids % 2 == 0) & (ids < size - 1)
+    edges = BinMapper.fit(x).bin_edges[0]  # bins 0..63 need 63 edges
     arrays.update(
+        edge_values=edges.copy(), edge_offsets=np.array([0, edges.size]),
         node_feature=np.where(inner, 0, -1).astype(np.int32),
         node_threshold=np.where(inner, ids // 2, 0).astype(np.int32),
         node_left=np.where(inner, ids + 1, -1).astype(np.int32),

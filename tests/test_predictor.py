@@ -325,7 +325,9 @@ def test_predictions_fingerprint_pinned():
     records, seed 17), both routes trained by a small GBRT. The 80 held-out
     rows hold 35 distinct texts. A second SHA-256 covers the serialized
     bundle's array payload, every byte between the JSON header (which holds
-    the creation time and the format version) and the trailer."""
+    the creation time and the format version) and the trailer; it changed
+    with bundle format 6's tested-edge tables and narrow node arrays, the
+    predictions did not."""
     records = generate(WorkloadConfig(n_queries=240, seed=17))
     b = train(records[:160], TrainConfig(
         featurizer=FeaturizerConfig(svd_components=24),
@@ -341,7 +343,7 @@ def test_predictions_fingerprint_pinned():
     data = serialize_bundle(b)
     header_len = int.from_bytes(data[8:16], "little")
     assert hashlib.sha256(data[16 + header_len:-32]).hexdigest() == (
-        "f63d372fe4df73f6b1a31f8b2c822c8da949b83acedc71d1a4666ad0ac492733")
+        "d0403d715ff0e2830db97272b1f4b6c3f75fef1bd97808538817506215b4df6c")
 
 
 NO_SCIPY_SCRIPT = """
@@ -756,7 +758,8 @@ def test_a_bundle_that_loads_scores_every_row(tamper, held_out, data):
             values = _EXTREME_FLOATS
         else:
             info = np.iinfo(dtype)
-            values = [0, -1, int(info.min), int(info.max)]
+            values = [v for v in (0, -1, int(info.min), int(info.max))
+                      if v >= info.min]  # no -1 in an unsigned array
     value = data.draw(st.sampled_from(values), label="value")
 
     try:
