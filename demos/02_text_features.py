@@ -32,7 +32,7 @@ def main():
     print(f"svd basis: {basis.components.shape[0]} components, "
           f"singular values {np.round(basis.singular_values, 3)}")
 
-    embedded = project_text(basis, matrix[:3])
+    embedded = project_text(basis, matrix)
     sims = embedded @ embedded.T
     print("\npairwise similarity in the embedded space (rounded):")
     print(np.round(sims, 2))

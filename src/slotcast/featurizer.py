@@ -117,13 +117,18 @@ def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
                                n_docs=n)
 
 
-# scipy's CSR triple (data, indices, indptr), with no matrix object: row i
-# holds columns indices[indptr[i]:indptr[i+1]] with those positions' data
-TextRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+class CorpusRows(NamedTuple):
+    """Sparse rows under scipy's CSR attribute names, with no matrix object:
+    row i of the (n, V) matrix holds columns indices[indptr[i]:indptr[i+1]]
+    with those positions' data."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
 
 
 def transform_text(state: TextVectorizerState,
-                   corpus: Sequence[CleanedQuery]) -> TextRows:
+                   corpus: Sequence[CleanedQuery]) -> CorpusRows:
     """One row per query, its columns strictly increasing: raw-count tf x
     idf, divided by the L2 norm of that row alone. Out-of-vocabulary terms
     are ignored; a query without a known term gives an empty row.
@@ -153,36 +158,26 @@ def transform_text(state: TextVectorizerState,
         norm = math.sqrt(sq[s:e].sum())
         if norm > 0:
             data[s:e] /= norm
-    return data, col_ids, np.array(indptr, dtype=np.int64)
-
-
-class CorpusRows(NamedTuple):
-    """transform_text's rows with the (n, V) shape of the matrix they
-    describe, under scipy's CSR attribute names."""
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: Tuple[int, int]
+    return CorpusRows(data, col_ids, np.array(indptr, dtype=np.int64),
+                      (len(indptr) - 1, state.size))
 
 
 def transform_text_corpus(state: TextVectorizerState,
                           corpus: Iterable[CleanedQuery]) -> CorpusRows:
-    """transform_text's rows of a whole corpus and their (n, V) shape,
-    fit_svd's input. The rows are canonical, each row's columns strictly
-    increasing, which fit_svd needs to add in scipy's order. Each distinct
-    CleanedQuery object is vectorized once and its row gathered for every
-    record that holds it: a row is normalised on its own, so a gathered
-    row holds the bytes of one built for its record."""
+    """transform_text's rows of a whole corpus, fit_svd's input, built by
+    vectorizing each distinct CleanedQuery object once and gathering its
+    row for every record that holds it: a row is normalised on its own, so
+    a gathered row holds the bytes of one built for its record."""
     distinct, which = _distinct(list(corpus))
-    data, indices, indptr = transform_text(state, distinct)
-    lengths = np.diff(indptr)[which]
+    rows = transform_text(state, distinct)
+    lengths = np.diff(rows.indptr)[which]
     out_ptr = np.zeros(which.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=out_ptr[1:])
     # position in the distinct rows of each entry of each record's row
-    pos = np.repeat(indptr[which] - out_ptr[:-1], lengths)
+    pos = np.repeat(rows.indptr[which] - out_ptr[:-1], lengths)
     pos += np.arange(out_ptr[-1])
-    return CorpusRows(data[pos], indices[pos], out_ptr,
-                      shape=(which.size, state.size))
+    return CorpusRows(rows.data[pos], rows.indices[pos], out_ptr,
+                      (which.size, state.size))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +338,12 @@ def fit_svd(tfidf_rows: CorpusRows, k: int) -> SvdBasis:
                     single_thread=single_thread)
 
 
-def project_text(basis: SvdBasis, text: TextRows) -> np.ndarray:
+def project_text(basis: SvdBasis, text: CorpusRows) -> np.ndarray:
     """Project the rows onto the basis, one (n, k) array: row i is
     ``components @ dense_i``, one product per row, so it does not depend on
     the batch. A row's columns must be distinct; one outside 0..V-1 raises
     DimensionMismatch."""
-    data, indices, indptr = text
+    data, indices, indptr = text.data, text.indices, text.indptr
     comps = basis.components
     v = comps.shape[1]
     if len(indices) and not 0 <= indices.min() <= indices.max() < v:

@@ -405,7 +405,10 @@ class Forest:
     child ids are local to the tree (fit makes them larger than their
     parent's). fit stores features, thresholds and child ids in the
     narrowest integer types that hold them, and keeps in the bin mapper
-    only the edges its nodes test; loading takes any integer type."""
+    only the edges its nodes test; loading takes any integer type. For
+    scoring, __post_init__ lays out one column per internal node (its
+    feature, threshold and leaf mask) behind one sentinel column per
+    tree; nodes that share a test each keep their own column."""
     config: GBRTConfig
     b0: float
     bin_mapper: BinMapper
@@ -431,24 +434,17 @@ class Forest:
         ids = np.flatnonzero(inner)
         ones = (np.uint64(1) << left_leaves.astype(np.uint64)) - 1
         mask = ~(ones << first[ids].astype(np.uint64))
-        # tests: the distinct (feature, threshold) pairs of internal nodes,
-        # numbered in order of key = feature * 256 + threshold without a
-        # sort; go row n_tests is always true
-        key = (self.node_feature[ids].astype(np.intp) * _BINS
-               + self.node_threshold[ids].astype(np.intp))
-        used = np.zeros(self.n_features * _BINS, dtype=bool)
-        used[key] = True
-        keys = np.flatnonzero(used)
-        pair = np.zeros(used.size, dtype=np.intp)
-        pair[keys] = np.arange(keys.size)
-        self._pair_feature = keys // _BINS
-        self._pair_threshold = (keys % _BINS).astype(np.uint8)
-        # one column per internal node, tree by tree, each tree headed by a
-        # sentinel that reads the always-true row, so a root-only tree still
-        # has a segment for reduceat
+        # one column per internal node, tree by tree, holding its feature,
+        # threshold and mask; each tree is headed by a sentinel column, so a
+        # root-only tree still has a segment for reduceat. A sentinel reads
+        # feature 0 (predict gives a forest of no features one zero bin) and
+        # threshold 255, which every bin is <=, and its mask is all ones.
         heads = np.searchsorted(ids, self.tree_offsets[:-1])
         self._seg_start = heads + np.arange(heads.size)
-        self._col_pair = np.insert(pair[key], heads, keys.size)
+        self._col_feature = np.insert(
+            self.node_feature[ids].astype(np.intp), heads, 0)
+        self._col_threshold = np.insert(
+            self.node_threshold[ids].astype(np.uint8), heads, _BINS - 1)
         self._col_mask = np.insert(mask, heads, _ALL)
         # lr * value of each tree's leaves in leaf-number order; frexp of a
         # lowest set bit 2**i gives i + 1, hence the - 1 in _leaf_base
@@ -460,7 +456,7 @@ class Forest:
             self.config.learning_rate * self.node_value[leaf_ids])
         # rows per block: a block's (columns x rows) uint64 words stay
         # within about 2**17 elements
-        self._block = max(1, 2 ** 17 // max(1, self._col_pair.size))
+        self._block = max(1, 2 ** 17 // max(1, self._col_feature.size))
 
     @property
     def n_features(self) -> int:
@@ -474,26 +470,24 @@ class Forest:
         """b0 plus the learning rate times each tree's leaf value. The rows
         are binned first, by the bin mapper's 8-step search over its padded
         edge table. Then all trees are scored at once, one block of rows at
-        a time: a block decides each distinct (feature, threshold) test once
-        per row, in one (tests x rows) matrix, ANDs each tree's masks of the
-        failed tests and takes the lowest set bit as the exit leaf."""
+        a time: a block gathers each column's feature bins and compares them
+        with the column's threshold in one (columns x rows) matrix, ANDs
+        each tree's masks of the failed tests and takes the lowest set bit
+        as the exit leaf."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected (n, {self.n_features}) features")
         xb = self.bin_mapper.transform(x)
+        if not self.n_features:  # single-leaf trees: sentinels read a 0 bin
+            xb = np.zeros((x.shape[0], 1), dtype=np.uint8)
         pred = np.full(x.shape[0], self.b0)
-        n_tests = self._pair_feature.size
         for start in range(0, x.shape[0] if self.n_trees else 0, self._block):
             rows = slice(start, start + self._block)
-            block = xb[rows].T
-            go = np.empty((n_tests + 1, block.shape[1]), dtype=bool)
-            go[n_tests] = True
-            np.less_equal(np.take(block, self._pair_feature, axis=0),
-                          self._pair_threshold[:, None], out=go[:n_tests])
+            go = (np.take(xb[rows].T, self._col_feature, axis=0)
+                  <= self._col_threshold[:, None])
             # a column's word: all ones where its test holds, else its mask
-            vals = np.negative(np.take(go, self._col_pair, axis=0),
-                               dtype=np.uint64)
+            vals = np.negative(go, dtype=np.uint64)
             np.bitwise_or(vals, self._col_mask[:, None], out=vals)
             acc = np.bitwise_and.reduceat(vals, self._seg_start, axis=0)
             # acc & -acc is the lowest set bit, exact as a float

@@ -92,6 +92,13 @@ class Router:
     def route(self, score: int) -> str:
         return ROUTE_SIMPLE if score < self.threshold else ROUTE_COMPLEX
 
+    def split(self, scores: Sequence[int]) -> Dict[str, np.ndarray]:
+        """The ascending row ids of each route, in routing order: the rows
+        whose scores route() sends there."""
+        simple = np.asarray(scores) < self.threshold
+        return {ROUTE_SIMPLE: simple.nonzero()[0],
+                ROUTE_COMPLEX: (~simple).nonzero()[0]}
+
 
 @dataclass
 class TrainConfig:
@@ -160,11 +167,7 @@ def train(records: Sequence[QueryRecord],
     featurizer = Featurizer(config.featurizer)
     matrix = featurizer.fit_transform(records, reports, cleaned)
 
-    scores = np.array([rep.score for rep in reports])
-    routes = {
-        ROUTE_SIMPLE: np.where(scores < config.router.threshold)[0],
-        ROUTE_COMPLEX: np.where(scores >= config.router.threshold)[0],
-    }
+    routes = config.router.split([rep.score for rep in reports])
     forests: Dict[str, Forest] = {}
     for route, idx in routes.items():
         if n > idx.size >= max(config.router.min_subset,
@@ -199,15 +202,17 @@ def _score(bundle: ModelBundle,
     routing and forests stay per record."""
     cleaned, reports = _analyze(records)
     matrix = bundle.featurizer.transform(records, reports, cleaned)
-    route_names = [bundle.router.route(rep.score) for rep in reports]
-    zs = np.empty(len(records))
-    for route in set(route_names):
-        mask = np.array([r == route for r in route_names])
-        zs[mask] = _forest_for_route(bundle, route).predict(matrix.rows[mask])
-    return [PredictionResult(slot_min=slot, route=route,
-                             complexity_score=rep.score, log_space_value=z)
-            for slot, z, route, rep in zip(inverse_target(zs).tolist(),
-                                           zs.tolist(), route_names, reports)]
+    results: list = [None] * len(records)
+    for route, idx in bundle.router.split([r.score for r in reports]).items():
+        if not idx.size:
+            continue
+        zs = _forest_for_route(bundle, route).predict(matrix.rows[idx])
+        for i, slot, z in zip(idx.tolist(), inverse_target(zs).tolist(),
+                              zs.tolist()):
+            results[i] = PredictionResult(
+                slot_min=slot, route=route,
+                complexity_score=reports[i].score, log_space_value=z)
+    return results
 
 
 def predict(bundle: ModelBundle, record: QueryRecord) -> PredictionResult:

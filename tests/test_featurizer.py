@@ -54,23 +54,20 @@ def cq(text):
     return clean_query(text)
 
 
-def tfidf_matrix(state, corpus):
-    """transform_text's (data, indices, indptr) triple as the (n, V) CSR
-    matrix it describes."""
-    return sp.csr_matrix(transform_text(state, corpus),
-                         shape=(len(corpus), state.size))
-
-
 def as_matrix(m):
-    """transform_text_corpus's rows as the scipy CSR matrix they describe."""
+    """CorpusRows as the scipy CSR matrix they describe."""
     return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
-def as_triple(rows):
-    """Dense or sparse rows as the (data, indices, indptr) triple that
-    project_text takes."""
+def tfidf_matrix(state, corpus):
+    """transform_text's rows as the (n, V) CSR matrix they describe."""
+    return as_matrix(transform_text(state, corpus))
+
+
+def as_rows(rows):
+    """Dense or sparse rows as the CorpusRows that project_text takes."""
     m = sp.csr_matrix(rows if sp.issparse(rows) else np.atleast_2d(rows))
-    return m.data, m.indices, m.indptr
+    return CorpusRows(m.data, m.indices, m.indptr, m.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +178,9 @@ def test_text_fit_runs_once_per_distinct_query(seed):
     assert got.doc_freq.tobytes() == want.doc_freq.tobytes()
     assert got.n_docs == want.n_docs == len(picks)
     rows = transform_text_corpus(got, shared)
-    assert rows.shape == (len(picks), got.size)
-    for a, b in zip(rows[:3], transform_text(got, fresh)):
+    want_rows = transform_text(got, fresh)
+    assert rows.shape == want_rows.shape == (len(picks), got.size)
+    for a, b in zip(rows[:3], want_rows[:3]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -395,7 +393,7 @@ def test_fit_svd_rejects_rows_that_are_not_canonical(indices, n):
 def test_project_zero_vector():
     a = sp.csr_matrix(np.eye(4))
     basis = fit_svd(a, k=2)
-    out = project_text(basis, as_triple(sp.csr_matrix((1, 4))))
+    out = project_text(basis, as_rows(sp.csr_matrix((1, 4))))
     assert np.allclose(out, 0)
 
 
@@ -404,7 +402,7 @@ def test_project_basis_row_gives_unit_coordinate():
                   random_state=np.random.RandomState(3)).tocsr()
     basis = fit_svd(a, k=4)
     for i in range(basis.k):
-        out = project_text(basis, as_triple(basis.components[i]))
+        out = project_text(basis, as_rows(basis.components[i]))
         expected = np.zeros(basis.k)
         expected[i] = 1.0
         assert np.allclose(out, expected, atol=1e-8)
@@ -414,10 +412,10 @@ def test_project_dimension_mismatch():
     a = sp.csr_matrix(np.eye(4))
     basis = fit_svd(a, k=2)
     with pytest.raises(DimensionMismatch):
-        project_text(basis, as_triple(np.ones(7)))
-    data, indices, indptr = as_triple(np.ones(2))
+        project_text(basis, as_rows(np.ones(7)))
+    rows = as_rows(np.ones(2))
     with pytest.raises(DimensionMismatch):  # a negative column
-        project_text(basis, (data, np.array([0, -1]), indptr))
+        project_text(basis, rows._replace(indices=np.array([0, -1])))
 
 
 def test_transform_text_rows_hold_increasing_in_range_columns():
@@ -426,7 +424,8 @@ def test_transform_text_rows_hold_increasing_in_range_columns():
     each row strictly increasing column indices in 0..V-1."""
     fz, _, recs = fitted_featurizers()
     cleaned = [cq(r.query_text) for r in recs] + [cq("ZZYZX"), cq("")]
-    data, indices, indptr = transform_text(fz.text_state, cleaned)
+    data, indices, indptr, shape = transform_text(fz.text_state, cleaned)
+    assert shape == (len(cleaned), fz.text_state.size)
     assert indptr[0] == 0 and indptr[-1] == len(data) == len(indices)
     assert len(indptr) == len(cleaned) + 1 and np.all(np.diff(indptr) >= 0)
     assert len(indices) and indices.min() >= 0

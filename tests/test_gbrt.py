@@ -214,6 +214,22 @@ def test_empty_forest_predicts_baseline():
     assert np.allclose(forest.predict(x), (2.0 + x.ravel()).mean())
 
 
+def test_forest_of_no_features_scores_its_single_leaf_trees():
+    """Fit on zero feature columns, every tree is one leaf: a row scores b0
+    plus the learning rate times each tree's value, added in tree order,
+    also after a state round trip."""
+    forest = gbrt.fit(np.empty((50, 0)), np.arange(50.0))
+    assert forest.n_trees == 100 and not np.any(forest.node_feature >= 0)
+    want = forest.b0
+    for value in forest.node_value:
+        want += forest.config.learning_rate * value
+    assert want == 24.5
+    restored = Forest.from_state(*forest.get_state())
+    for f in (forest, restored):
+        assert_bit_identical(f.predict(np.empty((3, 0))), np.full(3, want))
+        assert f.predict(np.empty((0, 0))).shape == (0,)
+
+
 def test_single_row_prediction_shape():
     x = np.linspace(0, 1, 50).reshape(-1, 1)
     forest = gbrt.fit(x, x.ravel(), small_config(iterations=3))
@@ -715,16 +731,23 @@ def test_block_crossing_batch_matches_naive_walk(big_forest):
 
 
 def test_each_internal_node_reads_its_own_test(big_forest):
+    """Past each tree's sentinel, the scoring columns hold the internal
+    nodes' features and thresholds in id order; a sentinel's test always
+    holds and its mask clears no leaf."""
     forest, _ = big_forest
     inner = np.flatnonzero(forest.node_feature >= 0)
-    pair = np.delete(forest._col_pair, forest._seg_start)  # drop sentinels
-    assert forest._pair_feature.size < inner.size
-    assert np.array_equal(forest._pair_feature[pair], forest.node_feature[inner])
-    assert np.array_equal(forest._pair_threshold[pair],
+    heads = forest._seg_start
+    # tree t's sentinel comes just before its first internal node
+    assert np.array_equal(heads - np.arange(forest.n_trees),
+                          np.searchsorted(inner, forest.tree_offsets[:-1]))
+    assert forest._col_feature.size == inner.size + heads.size
+    assert np.array_equal(np.delete(forest._col_feature, heads),
+                          forest.node_feature[inner])
+    assert np.array_equal(np.delete(forest._col_threshold, heads),
                           forest.node_threshold[inner])
-    # each test is numbered once
-    keys = forest._pair_feature * 256 + forest._pair_threshold
-    assert np.all(np.diff(keys) > 0)
+    assert np.all(forest._col_threshold[heads] == 255)
+    assert np.all(forest._col_mask[heads] == np.uint64(2 ** 64 - 1))
+    assert np.all(forest._col_feature[heads] < forest.n_features)
 
 
 def inorder_leaves(forest, tree):

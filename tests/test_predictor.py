@@ -93,6 +93,15 @@ def test_routing_boundary_scores():
     assert router.route(26) == ROUTE_COMPLEX
     assert router.route(0) == ROUTE_SIMPLE
     assert router.route(100) == ROUTE_COMPLEX
+    split = router.split([0, 25, 26, 100])
+    assert list(split) == [ROUTE_SIMPLE, ROUTE_COMPLEX]
+    assert split[ROUTE_SIMPLE].tolist() == [0, 1]
+    assert split[ROUTE_COMPLEX].tolist() == [2, 3]
+    scores = [100, 26, 0, 25]
+    split = router.split(scores)
+    assert split[ROUTE_SIMPLE].tolist() == [2, 3]
+    for route, idx in split.items():  # each score goes where route() says
+        assert [router.route(scores[i]) for i in idx] == [route] * 2
 
 
 def test_routing_boundary_through_predict(bundle, workload):
@@ -544,7 +553,7 @@ def test_vocabulary_terms_no_cleaned_query_forms_are_never_counted(
     corpus = [clean_query(t) for t in ("A  B", " A", "A B C", "a b c",
                                        "B A  B C", "A B")]
     corpus += [clean_query(r.query_text) for r in workload[:50]]
-    data, indices, indptr = transform_text(state, corpus)
+    data, indices, indptr, _ = transform_text(state, corpus)
     assert not np.isin(indices, cols).any()
     for i, q in enumerate(corpus):
         want = naive_transform_text(state, q)
