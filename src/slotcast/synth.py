@@ -15,7 +15,7 @@ import numpy as np
 from .config import check, setting
 from .errors import ConfigError, OverlappingEnvironments
 from .records import INT64_MAX, QueryRecord
-from .sql_analyzer import DEFAULT_WEIGHTS, OPERATOR_KINDS
+from .sql_analyzer import OPERATOR_KINDS, weighted_score
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def render_query(plan: OperatorPlan) -> Tuple[str, Dict[str, int]]:
 
 
 def plan_score(counts: Dict[str, int]) -> int:
-    return sum(counts[k] * DEFAULT_WEIGHTS[k] for k in OPERATOR_KINDS)
+    return weighted_score(counts)
 
 
 # ---------------------------------------------------------------------------

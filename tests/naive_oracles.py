@@ -489,7 +489,8 @@ NUMBER_PATTERN = r"\b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b"
 
 def regex_clean_query(raw_sql):
     """(text, tokens) for raw SQL: every substitution and the tokenizer
-    written out with re module calls."""
+    written out with re module calls, each comment or quote opener searching
+    for its own closer."""
     text = re.sub(r"/\*.*?\*/", " ", raw_sql, flags=re.S)
     text = re.sub(r"--[^\n]*", " ", text)
     text = re.sub(r"`[^`]*`", " TABLE ", text)
@@ -505,11 +506,41 @@ def regex_clean_query(raw_sql):
 # Operator counting with every token sent down the full branch chain
 # ---------------------------------------------------------------------------
 
+def rescanning_cte_bindings(toks, start):
+    """CTE bindings after a WITH at position `start`, each binding body
+    scanned anew to its closing ')' (quadratic when bindings nest
+    unclosed)."""
+    n = len(toks)
+    j = start + 1
+    if j < n and toks[j] == "RECURSIVE":
+        j += 1
+    bindings = 0
+    while j < n:
+        # expect: identifier AS (
+        if j + 2 < n and toks[j + 1] == "AS" and toks[j + 2] == "(":
+            bindings += 1
+            depth = 0
+            j += 2
+            while j < n:
+                if toks[j] == "(":
+                    depth += 1
+                elif toks[j] == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j += 1
+            j += 1
+            if j < n and toks[j] == ",":
+                j += 1
+                continue
+        break
+    return bindings
+
+
 def chain_count_operators(q):
-    """count_operators as it was before it skipped tokens that open no
-    branch: every token walks the whole elif chain."""
-    from slotcast.sql_analyzer import (OPERATOR_KINDS, _classify_udf,
-                                       _count_with_bindings)
+    """count_operators written as one elif chain that every token walks,
+    each WITH rescanning its bindings."""
+    from slotcast.sql_analyzer import OPERATOR_KINDS, _classify_udf
     toks = q.tokens
     counts = {k: 0 for k in OPERATOR_KINDS}
     n = len(toks)
@@ -549,5 +580,5 @@ def chain_count_operators(q):
             if prev == "CREATE" or (prev in ("TEMP", "TEMPORARY") and prev2 == "CREATE"):
                 counts[_classify_udf(toks, i)] += 1
         elif t == "WITH":
-            counts["with_cte"] += _count_with_bindings(toks, i)
+            counts["with_cte"] += rescanning_cte_bindings(toks, i)
     return counts

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -79,7 +80,9 @@ sql_like_text = st.one_of(
         SQL_WORDS + (
             "a", "_x1", "t.col", "9e3", "1.5", "'s'", '"q"', "`p.d.t`",
             "(", ")", ",", ";", "*", "--c\n", "/* c */", "\u00e9", "\u00df",
-            "\t", "regexp_contains", "\u0131d")),
+            "\t", "regexp_contains", "\u0131d",
+            # lone openers, closers and escapes, a backslash before a newline
+            "/*", "*/", "'", '"', "\\", "\\'", '\\"', "\\\n")),
         max_size=30).map(" ".join))
 
 
@@ -290,7 +293,10 @@ operator_token_streams = st.lists(st.one_of(
         "REGEXP_CONTAINS", "regexp_replace", "WITH a AS (",
         "WITH RECURSIVE a AS (", ") , b AS (", "CREATE TEMP FUNCTION",
         "CREATE FUNCTION", "LANGUAGE JS", "( SELECT", "OVER (", "CROSS JOIN",
-        "GROUP BY", "ORDER BY"]),
+        "GROUP BY", "ORDER BY",
+        # near misses of each pair, JOIN, UDF header and nested binding
+        "GROUP x", "ORDER x", "OVER x", "( x", "CROSS x JOIN",
+        "TEMP FUNCTION", "x FUNCTION", "WITH a AS ( WITH b AS ("]),
     st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)),
     max_size=60).map(" ".join)
 
@@ -300,3 +306,30 @@ operator_token_streams = st.lists(st.one_of(
 def test_count_operators_matches_full_branch_chain(sql):
     q = clean_query(sql)
     assert count_operators(q) == chain_count_operators(q)
+
+
+# Openers without closers: an unclosed comment, escaped quotes and nested
+# unclosed CTE bindings. Rescanning to the end of the text from every opener
+# takes 6-20 s on each (2-vCPU VM); one pass takes milliseconds.
+@pytest.mark.parametrize("raw,tokens,with_cte", [
+    ("/* " * 33_000, ("/", "*") * 33_000, 0),
+    ("\\'" * 33_000, ("\\", "'") * 33_000, 0),
+    ('\\"' * 33_000, ("\\", '"') * 33_000, 0),
+    ("WITH a AS ( " * 8_000, ("WITH", "A", "AS", "(") * 8_000, 8_000),
+    ("WITH RECURSIVE a AS ( SELECT 1 ) , b AS ( " * 8_000,
+     ("WITH", "RECURSIVE", "A", "AS", "(", "SELECT", "NUM", ")", ",", "B",
+      "AS", "(") * 8_000, 16_000),
+], ids=["comment", "single-quote", "double-quote", "with", "with-recursive"])
+def test_unclosed_openers_clean_and_count_in_linear_time(raw, tokens,
+                                                         with_cte):
+    t0 = time.perf_counter()
+    q = clean_query(raw)
+    counts = count_operators(q)
+    elapsed = time.perf_counter() - t0
+    assert q.tokens == tokens
+    assert counts["with_cte"] == with_cte
+    assert elapsed < 1.0
+    small = raw[:len(raw) // 100]
+    assert clean_query(small).tokens == regex_clean_query(small)[1]
+    assert count_operators(clean_query(small)) == chain_count_operators(
+        clean_query(small))
