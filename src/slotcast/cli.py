@@ -266,7 +266,7 @@ def _cmd_evaluate(args) -> int:
             median_value=bundle.metadata["train_target_median"],
             source=evaluator.BASELINE_TRAIN)
     else:
-        base = evaluator.baselines([], actual, mode=evaluator.BASELINE_TEST)
+        base = evaluator.baselines(actual, evaluator.BASELINE_TEST)
     report = evaluator.tiered_eval(actual, predicted, base=base)
     outdir = Path(args.report_dir)
     outdir.mkdir(parents=True, exist_ok=True)

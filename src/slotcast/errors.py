@@ -25,10 +25,6 @@ class DimensionMismatch(SlotcastError):
     """Feature dimensionality does not match the fitted layout."""
 
 
-class StateNotFitted(SlotcastError):
-    """Transform was called before fit."""
-
-
 class TooFewSamples(SlotcastError):
     """Not enough training rows for the requested model."""
 

@@ -7,7 +7,7 @@ quantities (zero actual variance, empty tiers) are carried as explicit
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -103,17 +103,16 @@ def metrics(actual: Sequence[float], predicted: Sequence[float]) -> MetricSet:
                      variance_ratio=ratio)
 
 
-def baselines(train_actuals: Sequence[float], test_actuals: Sequence[float],
-              mode: str = BASELINE_TRAIN) -> Baselines:
-    """Constant predict-mean / predict-median baselines."""
-    if mode not in (BASELINE_TRAIN, BASELINE_TEST):
-        raise ValueError(f"unknown baseline mode {mode!r}")
-    source = train_actuals if mode == BASELINE_TRAIN else test_actuals
-    arr = np.asarray(source, dtype=np.float64)
+def baselines(values: Sequence[float], source: str) -> Baselines:
+    """Constant predict-mean / predict-median baselines of values, labelled
+    with the source they came from (BASELINE_TRAIN or BASELINE_TEST)."""
+    if source not in (BASELINE_TRAIN, BASELINE_TEST):
+        raise ValueError(f"unknown baseline source {source!r}")
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
-        raise EmptyInput(f"{mode} baseline source vector is empty")
+        raise EmptyInput(f"{source} baseline source vector is empty")
     return Baselines(mean_value=float(arr.mean()),
-                     median_value=float(np.median(arr)), source=mode)
+                     median_value=float(np.median(arr)), source=source)
 
 
 def _reduction(baseline_mae: float, model_mae: float) -> Optional[float]:
@@ -132,7 +131,7 @@ def tiered_eval(actual: Sequence[float], predicted: Sequence[float],
     if not tiers:
         raise ValueError("at least one tier required")
     if base is None:
-        base = baselines(a, a, mode=BASELINE_TEST)
+        base = baselines(a, BASELINE_TEST)
     results: List[TierResult] = []
     for tier in tiers:
         mask = tier.mask(a)
@@ -164,14 +163,6 @@ def _fmt(x: Optional[float], pct: bool = False) -> str:
     return f"{100 * x:.1f}%" if pct else f"{x:.4f}"
 
 
-def _metricset_dict(m: Optional[MetricSet]) -> Optional[dict]:
-    if m is None:
-        return None
-    return {"mae": m.mae, "rmse": m.rmse,
-            "explained_variance": m.explained_variance,
-            "variance_ratio": m.variance_ratio}
-
-
 def emit_report(report: EvalReport, format: str = "text") -> bytes:
     """Render an EvalReport as text, structured JSON, or per-query plot data."""
     if format == "text":
@@ -192,15 +183,7 @@ def emit_report(report: EvalReport, format: str = "text") -> bytes:
     if format == "structured":
         doc = {
             "baseline_source": report.baseline_source,
-            "tiers": [{
-                "name": t.name,
-                "n": t.n,
-                "model": _metricset_dict(t.model),
-                "baseline_mean": _metricset_dict(t.baseline_mean),
-                "baseline_median": _metricset_dict(t.baseline_median),
-                "mae_reduction_vs_mean": t.mae_reduction_vs_mean,
-                "mae_reduction_vs_median": t.mae_reduction_vs_median,
-            } for t in report.tiers],
+            "tiers": [asdict(t) for t in report.tiers],
         }
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
     if format == "plotdata":

@@ -1,8 +1,8 @@
 """Feature fusion: TF-IDF text block reduced via an exact truncated SVD,
 standardized numerics, log-scaled volumetrics, and one-hot categoricals.
 
-Fit statistics are computed only on training records; transform never mutates
-fitted state.
+Featurizer.fit computes every statistic on the training records and only
+then builds the featurizer; transform never mutates fitted state.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .errors import (
     EmptyCorpus,
     LengthMismatch,
     NonFiniteFeatures,
-    StateNotFitted,
 )
 from .records import QueryRecord
 from .sql_analyzer import CleanedQuery, ComplexityReport
@@ -93,6 +92,11 @@ def _distinct(corpus: Sequence[CleanedQuery]
             np.array([at[id(q)] for q in corpus], dtype=np.intp))
 
 
+def _top(freq: Dict[str, int], n: int) -> List[str]:
+    """The n keys of freq with the highest counts, ties lexicographic."""
+    return sorted(freq, key=lambda k: (-freq[k], k))[:n]
+
+
 def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
              max_vocab: int = 50_000) -> TextVectorizerState:
     """Build a unigram+bigram vocabulary with smoothed idf weights. The
@@ -105,11 +109,9 @@ def fit_text(corpus: Sequence[CleanedQuery], min_df: int = 2,
     for q, weight in zip(distinct, np.bincount(which).tolist()):
         for term in set(_terms(q)):
             df[term] = df.get(term, 0) + weight
-    kept = [t for t, c in df.items() if c >= min_df]
-    # cap by descending document frequency, ties lexicographic
-    kept.sort(key=lambda t: (-df[t], t))
-    kept = kept[:max_vocab]
-    kept.sort()  # column order is lexicographic
+    # the max_vocab most frequent terms, in lexicographic column order
+    kept = sorted(_top({t: c for t, c in df.items() if c >= min_df},
+                       max_vocab))
     vocabulary = {t: i for i, t in enumerate(kept)}
     n = len(corpus)
     doc_freq = np.array([df[t] for t in kept], dtype=np.int64)
@@ -397,15 +399,6 @@ class FeatureMatrix:
     column_names: List[str]
 
 
-def _top_categories(values: Iterable[str], top_n: int) -> List[str]:
-    freq: Dict[str, int] = {}
-    for v in values:
-        v = v or ""
-        freq[v] = freq.get(v, 0) + 1
-    ordered = sorted(freq, key=lambda c: (-freq[c], c))
-    return ordered[:top_n]
-
-
 def _check_lengths(records: Sequence[QueryRecord],
                    reports: Sequence[ComplexityReport],
                    cleaned: Sequence[CleanedQuery]) -> None:
@@ -414,57 +407,56 @@ def _check_lengths(records: Sequence[QueryRecord],
                              "record required")
 
 
+def _numeric_names(asset_count_keys: Sequence[str]) -> List[str]:
+    return (["num_complexity_score"] + [f"num_{f}" for f in _COUNT_FIELDS]
+            + [f"num_asset_count_{k}" for k in asset_count_keys])
+
+
+def _raw(records: Sequence[QueryRecord], reports: Sequence[ComplexityReport],
+         impute_medians: Dict[str, float],
+         asset_count_keys: Sequence[str]) -> np.ndarray:
+    """The (columns, n) tabular inputs before scaling, in layout order less
+    the one-hot columns, with zero rows for the two byte ratios. A missing
+    count or byte count takes its training median."""
+    got = {f: list(map(attrgetter(f), records)) for f in _OPTIONAL_FIELDS}
+    imputed = {f: [m if v is None else v for v in got[f]]
+               for f, m in impute_medians.items()}
+    cols = [[rep.score for rep in reports]]
+    cols += [imputed[f] for f in _COUNT_FIELDS]
+    cols += [[r.asset_type_counts.get(k, 0) for r in records]
+             for k in asset_count_keys]
+    cols += [imputed[f] for f in _BYTE_FIELDS]
+    cols += [[0] * len(records)] * 2
+    cols += [[v is None for v in got[f]] for f in _OPTIONAL_FIELDS]
+    cols += [[v is not None and v > 0 for v in got[f]]
+             for f in _COUNT_FIELDS[2:]]  # the provider flags
+    cols.append([bool(r.cache_hit) for r in records])
+    return np.array(cols, dtype=np.float64)
+
+
+@dataclass(eq=False)
 class Featurizer:
-    """Fit/transform pipeline producing a single dense feature matrix.
+    """A fitted feature pipeline, built by ``fit`` or ``from_state``.
 
     Column layout: text_svd_* | num_* (standardized) | vol_* (log1p) |
     miss_* (missing indicators) | cat_* (one-hot).
     """
+    config: FeaturizerConfig
+    text_state: TextVectorizerState
+    svd_basis: SvdBasis
+    asset_count_keys: List[str]
+    category_maps: Dict[str, List[str]]
+    impute_medians: Dict[str, float]
+    num_mean: np.ndarray
+    num_std: np.ndarray
+    column_names: List[str] = field(init=False)
+    # per categorical field: its getter, each category's column and the
+    # column of any other
+    _one_hot: list = field(init=False, repr=False)
 
-    def __init__(self, config: Optional[FeaturizerConfig] = None):
-        self.config = config or FeaturizerConfig()
-        self._fitted = False
-        self.text_state: Optional[TextVectorizerState] = None
-        self.svd_basis: Optional[SvdBasis] = None
-        self.asset_count_keys: List[str] = []
-        self.category_maps: Dict[str, List[str]] = {}
-        self.impute_medians: Dict[str, float] = {}
-        self.num_mean: Optional[np.ndarray] = None
-        self.num_std: Optional[np.ndarray] = None
-        self.column_names: List[str] = []
-        self._one_hot: List[Tuple[attrgetter, Dict[str, int], int]] = []
-
-    # -- layout --------------------------------------------------------------
-
-    def _numeric_names(self) -> List[str]:
-        return (["num_complexity_score"] + [f"num_{f}" for f in _COUNT_FIELDS]
-                + [f"num_asset_count_{k}" for k in self.asset_count_keys])
-
-    def _raw(self, records: Sequence[QueryRecord],
-             reports: Sequence[ComplexityReport]) -> np.ndarray:
-        """The (columns, n) tabular inputs before scaling, in layout order
-        less the one-hot columns, with zero rows for the two byte ratios. A
-        missing count or byte count takes its training median."""
-        got = {f: list(map(attrgetter(f), records)) for f in _OPTIONAL_FIELDS}
-        imputed = {f: [m if v is None else v for v in got[f]]
-                   for f, m in self.impute_medians.items()}
-        cols = [[rep.score for rep in reports]]
-        cols += [imputed[f] for f in _COUNT_FIELDS]
-        cols += [[r.asset_type_counts.get(k, 0) for r in records]
-                 for k in self.asset_count_keys]
-        cols += [imputed[f] for f in _BYTE_FIELDS]
-        cols += [[0] * len(records)] * 2
-        cols += [[v is None for v in got[f]] for f in _OPTIONAL_FIELDS]
-        cols += [[v is not None and v > 0 for v in got[f]]
-                 for f in _COUNT_FIELDS[2:]]  # the provider flags
-        cols.append([bool(r.cache_hit) for r in records])
-        return np.array(cols, dtype=np.float64)
-
-    def _layout(self) -> List[str]:
-        """The column names. Also sets ``_one_hot``: per categorical field,
-        its getter, each category's column and the column of any other."""
+    def __post_init__(self) -> None:
         names = [f"text_svd_{i}" for i in range(self.svd_basis.k)]
-        names += self._numeric_names()
+        names += _numeric_names(self.asset_count_keys)
         names += ["vol_log1p_bytes_processed", "vol_log1p_bytes_billed",
                   "vol_log1p_bytes_per_account", "vol_log1p_bytes_per_resource"]
         names += [f"miss_{f}" for f in _OPTIONAL_FIELDS]
@@ -477,64 +469,51 @@ class Featurizer:
             names.append(f"cat_{f}_{OTHER_CATEGORY}")
         names += ["cat_provider_aws", "cat_provider_gcp", "cat_provider_azure",
                   "cat_cache_hit"]
-        return names
+        self.column_names = names
 
     # -- fit / transform ----------------------------------------------------
 
-    def fit_transform(self, records: Sequence[QueryRecord],
-                      reports: Sequence[ComplexityReport],
-                      cleaned: Sequence[CleanedQuery]) -> FeatureMatrix:
+    @classmethod
+    def fit(cls, records: Sequence[QueryRecord],
+            reports: Sequence[ComplexityReport],
+            cleaned: Sequence[CleanedQuery],
+            config: Optional[FeaturizerConfig] = None) -> "Featurizer":
+        """Compute every statistic on the training records, then build."""
         if len(records) == 0:
-            raise EmptyCorpus("fit_transform requires at least one record")
+            raise EmptyCorpus("Featurizer.fit requires at least one record")
         _check_lengths(records, reports, cleaned)
-        cfg = self.config
+        cfg = config or FeaturizerConfig()
         cfg.validate()  # also catches a field changed after construction
-
-        # text pipeline
-        self.text_state = fit_text(cleaned, min_df=cfg.min_df,
-                                   max_vocab=cfg.max_vocab)
-        if len(records) >= 2 and self.text_state.size >= 1:
-            self.svd_basis = fit_svd(
-                transform_text_corpus(self.text_state, cleaned),
-                cfg.svd_components)
+        text_state = fit_text(cleaned, min_df=cfg.min_df,
+                              max_vocab=cfg.max_vocab)
+        if len(records) >= 2 and text_state.size >= 1:
+            svd_basis = fit_svd(transform_text_corpus(text_state, cleaned),
+                                cfg.svd_components)
         else:
             # degenerate corpus: no usable text subspace
-            self.svd_basis = SvdBasis(
-                components=np.zeros((0, self.text_state.size)),
-                singular_values=np.zeros(0))
+            svd_basis = SvdBasis(components=np.zeros((0, text_state.size)),
+                                 singular_values=np.zeros(0))
 
         # impute medians from observed training values
-        self.impute_medians = {}
+        medians = {}
         for f in _OPTIONAL_FIELDS:
-            obs = [float(getattr(r, f)) for r in records if getattr(r, f) is not None]
-            self.impute_medians[f] = float(np.median(obs)) if obs else 0.0
-
-        # asset-type count keys: top-N by training frequency, ties lexicographic
-        key_freq: Dict[str, int] = {}
-        for r in records:
-            for k in r.asset_type_counts:
-                key_freq[k] = key_freq.get(k, 0) + 1
-        self.asset_count_keys = sorted(
-            key_freq, key=lambda k: (-key_freq[k], k))[:cfg.top_n_asset_type_counts]
-
-        # category maps
-        self.category_maps = {
-            f: _top_categories((getattr(r, f) for r in records),
-                               cfg.top_n_categories)
-            for f in _CATEGORICAL_FIELDS
-        }
+            obs = [float(v) for v in map(attrgetter(f), records)
+                   if v is not None]
+            medians[f] = float(np.median(obs)) if obs else 0.0
+        keys = _top(Counter(chain.from_iterable(
+            r.asset_type_counts for r in records)),
+            cfg.top_n_asset_type_counts)
+        categories = {f: _top(Counter(getattr(r, f) or "" for r in records),
+                              cfg.top_n_categories)
+                      for f in _CATEGORICAL_FIELDS}
 
         # scaling statistics over an (n, n_numeric) C-ordered block
-        num = np.ascontiguousarray(
-            self._raw(records, reports)[:len(self._numeric_names())].T)
-        self.num_mean = num.mean(axis=0)
+        num = np.ascontiguousarray(_raw(records, reports, medians, keys)
+                                   [:len(_numeric_names(keys))].T)
         std = num.std(axis=0)
         std[std <= 0] = 1.0
-        self.num_std = std
-
-        self.column_names = self._layout()
-        self._fitted = True
-        return self.transform(records, reports, cleaned)
+        return cls(cfg, text_state, svd_basis, keys, categories, medians,
+                   num.mean(axis=0), std)
 
     def transform(self, records: Sequence[QueryRecord],
                   reports: Sequence[ComplexityReport],
@@ -544,8 +523,6 @@ class Featurizer:
         built once per distinct CleanedQuery object (records that share one
         share its text row) and gathered into place; every other column is
         built per record."""
-        if not self._fitted:
-            raise StateNotFitted("featurizer must be fit before transform")
         _check_lengths(records, reports, cleaned)
         n, k = len(records), self.svd_basis.k
         rows = np.zeros((n, len(self.column_names)))
@@ -555,7 +532,8 @@ class Featurizer:
         text = project_text(self.svd_basis,
                             transform_text(self.text_state, distinct))
         rows[:, :k] = text[which]
-        raw = self._raw(records, reports)
+        raw = _raw(records, reports, self.impute_medians,
+                   self.asset_count_keys)
         n_num = self.num_mean.shape[0]
         num, vol = raw[:n_num], raw[n_num:n_num + 4]
         per = raw[1:3]  # imputed account_count and resource_count
@@ -580,8 +558,6 @@ class Featurizer:
 
     def get_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """(json-able meta, named arrays) for the bundle writer."""
-        if not self._fitted:
-            raise StateNotFitted("cannot serialize an unfitted featurizer")
         meta = {
             "config": to_dict(self.config),
             "vocabulary": sorted(self.text_state.vocabulary,
@@ -606,45 +582,43 @@ class Featurizer:
         Raises CorruptBundle unless the state can transform a record:
         n_docs is a JSON integer and document frequencies are whole numbers
         in 1..n_docs, which bounds each idf by 1 + ln(1 + n_docs), the
-        medians and category maps cover exactly their fields, the text
+        medians and category maps cover exactly their fields, the asset keys
+        and each category map are lists of distinct strings, the text
         arrays agree on size, the scaling arrays fit the numeric block,
         every model number is finite (each median a JSON float) and each
         numeric spread is positive (fit sets a zero spread to 1)."""
-        fz = cls(from_dict(FeaturizerConfig, meta["config"]))
+        config = from_dict(FeaturizerConfig, meta["config"])
         doc_freq, n_docs = arrays["doc_freq"], meta["n_docs"]
         if not (type(n_docs) is int and doc_freq.dtype.kind in "iu"
                 and np.all((doc_freq >= 1) & (doc_freq <= n_docs))):
             raise CorruptBundle("featurizer: n_docs is not an integer, or a "
                                 "document frequency is not a whole number "
                                 "in 1..n_docs")
-        fz.text_state = TextVectorizerState(
+        text = TextVectorizerState(
             vocabulary={t: i for i, t in enumerate(meta["vocabulary"])},
             doc_freq=doc_freq, n_docs=n_docs)
-        fz.svd_basis = SvdBasis(components=arrays["svd_components"],
-                                singular_values=arrays["svd_singular_values"])
-        fz.asset_count_keys = list(meta["asset_count_keys"])
-        fz.category_maps = {k: list(v) for k, v in meta["category_maps"].items()}
-        fz.impute_medians = dict(meta["impute_medians"])
-        fz.num_mean = arrays["num_mean"]
-        fz.num_std = arrays["num_std"]
-        fz._fitted = True
-        text, basis = fz.text_state, fz.svd_basis
-        n_num = len(fz._numeric_names())
-        if not (set(fz.impute_medians) == set(_OPTIONAL_FIELDS)
-                and set(fz.category_maps) == set(_CATEGORICAL_FIELDS)
+        basis = SvdBasis(components=arrays["svd_components"],
+                         singular_values=arrays["svd_singular_values"])
+        keys, categories = meta["asset_count_keys"], meta["category_maps"]
+        medians = dict(meta["impute_medians"])
+        mean, std = arrays["num_mean"], arrays["num_std"]
+        if not (set(medians) == set(_OPTIONAL_FIELDS)
+                and set(categories) == set(_CATEGORICAL_FIELDS)
+                and all(isinstance(names, list)
+                        and all(isinstance(s, str) for s in names)
+                        and len(set(names)) == len(names)
+                        for names in (keys, *categories.values()))
                 and text.doc_freq.shape == (text.size,)
                 and basis.components.ndim == 2
                 and basis.components.shape[1] == text.size
                 and basis.singular_values.shape == (basis.k,)
-                and fz.num_mean.shape == fz.num_std.shape == (n_num,)):
+                and mean.shape == std.shape == (len(_numeric_names(keys)),)):
             raise CorruptBundle("featurizer: state arrays and names disagree")
-        fz.column_names = fz._layout()
-        medians = list(fz.impute_medians.values())
-        numbers = (basis.components, basis.singular_values,
-                   fz.num_mean, fz.num_std, medians)
-        if not (all(isinstance(v, float) for v in medians)
+        numbers = (basis.components, basis.singular_values, mean, std,
+                   list(medians.values()))
+        if not (all(isinstance(v, float) for v in medians.values())
                 and all(np.isfinite(a).all() for a in numbers)
-                and (fz.num_std > 0).all()):
+                and (std > 0).all()):
             raise CorruptBundle("featurizer: a model number is not a finite "
                                 "float, or a numeric spread is not positive")
-        return fz
+        return cls(config, text, basis, keys, categories, medians, mean, std)

@@ -164,8 +164,8 @@ def train(records: Sequence[QueryRecord],
     cleaned, reports = _analyze(records)
     y = transform_target(np.array([r.slot_min for r in records]))
 
-    featurizer = Featurizer(config.featurizer)
-    matrix = featurizer.fit_transform(records, reports, cleaned)
+    featurizer = Featurizer.fit(records, reports, cleaned, config.featurizer)
+    matrix = featurizer.transform(records, reports, cleaned)
 
     routes = config.router.split([rep.score for rep in reports])
     forests: Dict[str, Forest] = {}

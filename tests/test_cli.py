@@ -590,6 +590,14 @@ def _rename_route(old, new):
     return edit
 
 
+def _asset_key(index, key):
+    """Set one featurizer asset-count key; ``key`` maps the list to it."""
+    def edit(header):
+        keys = header["featurizer"]["asset_count_keys"]
+        keys[index] = key(keys)
+    return edit
+
+
 def _forest_config(field, value):
     def edit(header):
         for meta in header["forests"].values():
@@ -618,6 +626,12 @@ def _forest_config(field, value):
     lambda h: h["featurizer"].update(impute_medians={}),
     lambda h: h["featurizer"]["category_maps"].pop("region"),
     lambda h: h["featurizer"]["asset_count_keys"].append("extra"),
+    lambda h: h["featurizer"]["category_maps"].update(region="abc"),
+    lambda h: h["featurizer"]["category_maps"].update(region=[1, 2, 3]),
+    lambda h: h["featurizer"]["category_maps"].update(
+        region=["us", "us", "eu"]),
+    _asset_key(0, lambda keys: 7),
+    _asset_key(1, lambda keys: keys[0]),
     lambda h: h["featurizer"].update(
         vocabulary=h["featurizer"]["vocabulary"][5:]),
     lambda h: h["forests"].pop("complex"),
@@ -646,7 +660,10 @@ def _forest_config(field, value):
         "featurizer-config-negative-top_n_categories",
         "featurizer-config-unknown-key",
         "featurizer-impute_medians-empty", "featurizer-category_maps-no-region",
-        "featurizer-extra-asset-count-key", "featurizer-vocabulary-short",
+        "featurizer-extra-asset-count-key",
+        "featurizer-category_maps-string", "featurizer-category_maps-ints",
+        "featurizer-category_maps-repeated", "featurizer-asset-count-key-int",
+        "featurizer-asset-count-key-repeated", "featurizer-vocabulary-short",
         "forests-no-complex",
         "forests-unknown-route", "metadata-no-train_target_mean",
         "metadata-no-train_target_median", "metadata-train_target_mean-nan",

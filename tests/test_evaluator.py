@@ -99,20 +99,21 @@ def test_scale_equivariance():
 # ---------------------------------------------------------------------------
 
 def test_baseline_modes():
-    train, test = [1.0, 2.0, 3.0], [10.0, 20.0]
-    b = baselines(train, test, mode=BASELINE_TRAIN)
+    b = baselines([1.0, 2.0, 3.0], BASELINE_TRAIN)
     assert b.mean_value == 2.0 and b.median_value == 2.0
-    b = baselines(train, test, mode=BASELINE_TEST)
+    assert b.source == BASELINE_TRAIN
+    b = baselines([10.0, 20.0], BASELINE_TEST)
     assert b.mean_value == 15.0 and b.median_value == 15.0
+    assert b.source == BASELINE_TEST
     with pytest.raises(ValueError):
-        baselines(train, test, mode="oracle")
+        baselines([10.0, 20.0], "oracle")
     with pytest.raises(EmptyInput):
-        baselines([], test, mode=BASELINE_TRAIN)
+        baselines([], BASELINE_TRAIN)
 
 
 def test_skewed_baseline_mean_vs_median():
     a = [0.0, 0.0, 0.0, 100.0]
-    b = baselines(a, a, mode=BASELINE_TEST)
+    b = baselines(a, BASELINE_TEST)
     assert b.mean_value == 25.0
     assert b.median_value == 0.0
     # on skewed data the median baseline has far lower MAE than the mean one

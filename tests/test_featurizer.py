@@ -15,7 +15,6 @@ from slotcast.errors import (
     DimensionMismatch,
     EmptyCorpus,
     LengthMismatch,
-    StateNotFitted,
 )
 from slotcast.config import from_dict, to_dict
 from slotcast.featurizer import (
@@ -444,34 +443,17 @@ def make_records(n=40, seed=0):
     return recs, [complexity_score(q) for q in cleaned], cleaned
 
 
-def test_fit_transform_consistency():
-    """fit_transform ends in transform, so its rows are transform's bytes."""
-    recs, reports, cleaned = make_records()
-    fz = Featurizer(FeaturizerConfig(svd_components=16))
-    fitted = fz.fit_transform(recs, reports, cleaned)
-    again = fz.transform(recs, reports, cleaned)
-    assert fitted.column_names == again.column_names
-    assert fitted.rows.shape == again.rows.shape
-    assert fitted.rows.tobytes() == again.rows.tobytes()
-
-
-def test_transform_before_fit_raises():
-    recs, reports, cleaned = make_records(5)
-    with pytest.raises(StateNotFitted):
-        Featurizer().transform(recs, reports, cleaned)
-
-
 def test_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
-        Featurizer().fit_transform([], [], [])
+        Featurizer.fit([], [], [])
 
 
 def test_record_report_and_cleaned_lengths_must_agree():
     recs, reports, cleaned = make_records(6)
     with pytest.raises(LengthMismatch):
-        Featurizer().fit_transform(recs, reports, cleaned[:5])
-    fz = Featurizer(FeaturizerConfig(svd_components=4))
-    fz.fit_transform(recs, reports, cleaned)
+        Featurizer.fit(recs, reports, cleaned[:5])
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=4))
     with pytest.raises(LengthMismatch):  # one report for two records
         fz.transform(recs[:2], reports[:1], cleaned[:2])
     with pytest.raises(LengthMismatch):  # a short cleaned list
@@ -482,8 +464,9 @@ def test_record_report_and_cleaned_lengths_must_agree():
 
 def test_column_count_stable_and_finite():
     recs, reports, cleaned = make_records(50, seed=2)
-    fz = Featurizer(FeaturizerConfig(svd_components=8))
-    m = fz.fit_transform(recs[:40], reports[:40], cleaned[:40])
+    fz = Featurizer.fit(recs[:40], reports[:40], cleaned[:40],
+                        FeaturizerConfig(svd_components=8))
+    m = fz.transform(recs[:40], reports[:40], cleaned[:40])
     t = fz.transform(recs[40:], reports[40:], cleaned[40:])
     assert m.rows.shape[1] == t.rows.shape[1] == len(m.column_names)
     assert np.all(np.isfinite(t.rows))
@@ -494,8 +477,9 @@ def test_identical_records_identical_rows():
     dup = [recs[0], recs[0]] + recs[1:]
     dup_reports = [reports[0], reports[0]] + reports[1:]
     dup_cleaned = [cleaned[0], cleaned[0]] + cleaned[1:]
-    fz = Featurizer(FeaturizerConfig(svd_components=8))
-    m = fz.fit_transform(dup, dup_reports, dup_cleaned)
+    fz = Featurizer.fit(dup, dup_reports, dup_cleaned,
+                        FeaturizerConfig(svd_components=8))
+    m = fz.transform(dup, dup_reports, dup_cleaned)
     assert np.array_equal(m.rows[0], m.rows[1])
 
 
@@ -503,8 +487,9 @@ def test_zero_bytes_gives_zero_vol_column():
     recs, reports, cleaned = make_records(30, seed=4)
     recs[0].total_bytes_processed = 0
     recs[0].total_bytes_billed = 0
-    fz = Featurizer(FeaturizerConfig(svd_components=4))
-    m = fz.fit_transform(recs, reports, cleaned)
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=4))
+    m = fz.transform(recs, reports, cleaned)
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["vol_log1p_bytes_processed"]] == 0.0
     assert m.rows[0, cols["vol_log1p_bytes_billed"]] == 0.0
@@ -514,8 +499,9 @@ def test_zero_account_count_guarded_division():
     recs, reports, cleaned = make_records(30, seed=5)
     recs[0].account_count = 0
     recs[0].resource_count = 0
-    fz = Featurizer(FeaturizerConfig(svd_components=4))
-    m = fz.fit_transform(recs, reports, cleaned)
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=4))
+    m = fz.transform(recs, reports, cleaned)
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["vol_log1p_bytes_per_account"]] == 0.0
     assert m.rows[0, cols["vol_log1p_bytes_per_resource"]] == 0.0
@@ -523,8 +509,8 @@ def test_zero_account_count_guarded_division():
 
 def test_missing_bytes_billed_imputed_with_median_and_flagged():
     recs, reports, cleaned = make_records(31, seed=6)
-    fz = Featurizer(FeaturizerConfig(svd_components=4))
-    fz.fit_transform(recs, reports, cleaned)
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=4))
     median = float(np.median([r.total_bytes_billed for r in recs]))
     assert fz.impute_medians["total_bytes_billed"] == median
 
@@ -539,8 +525,8 @@ def test_missing_bytes_billed_imputed_with_median_and_flagged():
 
 def test_unseen_category_maps_to_other():
     recs, reports, cleaned = make_records(30, seed=7)
-    fz = Featurizer(FeaturizerConfig(svd_components=4))
-    fz.fit_transform(recs, reports, cleaned)
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=4))
     probe = recs[0]
     probe.asset_type = "never-seen-before"
     m = fz.transform([probe], [reports[0]], [cleaned[0]])
@@ -550,8 +536,9 @@ def test_unseen_category_maps_to_other():
 
 def test_one_hot_blocks_are_valid():
     recs, reports, cleaned = make_records(60, seed=8)
-    fz = Featurizer(FeaturizerConfig(svd_components=4))
-    m = fz.fit_transform(recs, reports, cleaned)
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=4))
+    m = fz.transform(recs, reports, cleaned)
     for field in ("asset_type", "region"):
         idx = [i for i, n in enumerate(m.column_names)
                if n.startswith(f"cat_{field}_")]
@@ -562,8 +549,8 @@ def test_one_hot_blocks_are_valid():
 
 def test_no_leakage_transform_does_not_mutate_state():
     recs, reports, cleaned = make_records(50, seed=9)
-    fz = Featurizer(FeaturizerConfig(svd_components=8))
-    fz.fit_transform(recs[:40], reports[:40], cleaned[:40])
+    fz = Featurizer.fit(recs[:40], reports[:40], cleaned[:40],
+                        FeaturizerConfig(svd_components=8))
     before = (dict(fz.impute_medians), list(fz.column_names),
               fz.num_mean.copy(), fz.num_std.copy())
     fz.transform(recs[40:], reports[40:], cleaned[40:])
@@ -575,14 +562,64 @@ def test_no_leakage_transform_does_not_mutate_state():
 
 def test_state_roundtrip_bit_exact_transform():
     recs, reports, cleaned = make_records(40, seed=10)
-    fz = Featurizer(FeaturizerConfig(svd_components=8))
-    fz.fit_transform(recs, reports, cleaned)
+    fz = Featurizer.fit(recs, reports, cleaned,
+                        FeaturizerConfig(svd_components=8))
     meta, arrays = fz.get_state()
     fz2 = Featurizer.from_state(meta, arrays)
     m1 = fz.transform(recs, reports, cleaned)
     m2 = fz2.transform(recs, reports, cleaned)
     assert np.array_equal(m1.rows, m2.rows)
     assert m2.column_names == m1.column_names  # laid out again on load
+
+
+def naive_top(values, top_n):
+    """The top_n most frequent values, ties in lexicographic order."""
+    freq = {}
+    for v in values:
+        freq[v] = freq.get(v, 0) + 1
+    return sorted(freq, key=lambda v: (-freq[v], v))[:top_n]
+
+
+@st.composite
+def tied_corpora(draw):
+    """Few records over few tokens, categories and asset keys, so counts
+    tie, with a config whose caps can cut every top-N list."""
+    small = st.sampled_from(["", "a", "b", "c"])
+    recs, cleaned = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        keys = draw(st.lists(st.sampled_from(["", "k", "m", "n", "p"]),
+                             max_size=4, unique=True))
+        recs.append(QueryRecord(
+            query_text="", region=draw(st.one_of(st.none(), small)),
+            asset_type=draw(st.one_of(st.none(), small)),
+            asset_type_counts={k: draw(st.integers(0, 3)) for k in keys}))
+        cleaned.append(CleanedQuery(tuple(draw(st.lists(
+            st.sampled_from(["A", "B", "C", "D"]), max_size=5)))))
+    cfg = FeaturizerConfig(
+        min_df=draw(st.integers(1, 2)), max_vocab=draw(st.integers(1, 6)),
+        svd_components=2, top_n_categories=draw(st.integers(0, 3)),
+        top_n_asset_type_counts=draw(st.integers(0, 3)))
+    return cfg, recs, cleaned
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_corpora())
+def test_fit_keeps_the_top_n_by_count_ties_lexicographic(case):
+    """The vocabulary cap, the category maps and the asset-count keys each
+    keep the most frequent values, ties in lexicographic order."""
+    cfg, recs, cleaned = case
+    reports = [complexity_score(q) for q in cleaned]
+    fz = Featurizer.fit(recs, reports, cleaned, cfg)
+    terms, _ = naive_tfidf([list(q.tokens) for q in cleaned],
+                           cfg.min_df, cfg.max_vocab)
+    vocab = fz.text_state.vocabulary
+    assert sorted(vocab, key=vocab.get) == terms
+    for f in ("asset_type", "region"):
+        assert fz.category_maps[f] == naive_top(
+            [getattr(r, f) or "" for r in recs], cfg.top_n_categories)
+    assert fz.asset_count_keys == naive_top(
+        [k for r in recs for k in r.asset_type_counts],
+        cfg.top_n_asset_type_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +638,7 @@ def test_config_out_of_range_rejected(field, value):
     setattr(cfg, field, value)
     recs, reports, cleaned = make_records(5)
     with pytest.raises(ConfigError, match=f"featurizer.{field}"):
-        Featurizer(cfg).fit_transform(recs, reports, cleaned)
+        Featurizer.fit(recs, reports, cleaned, cfg)
 
 
 def test_config_range_edges_accepted():
@@ -630,11 +667,12 @@ def fitted_featurizers():
     """(a featurizer with a 16-wide text basis, one with k = 0, the pool of
     records both were fit on)."""
     recs, reports, cleaned = make_records(80, seed=11)
-    fz = Featurizer(FeaturizerConfig(svd_components=16, top_n_categories=3))
-    fz.fit_transform(recs[:60], reports[:60], cleaned[:60])
-    flat = Featurizer(FeaturizerConfig(svd_components=16))
+    fz = Featurizer.fit(
+        recs[:60], reports[:60], cleaned[:60],
+        FeaturizerConfig(svd_components=16, top_n_categories=3))
     # one record: no text subspace
-    flat.fit_transform(recs[:1], reports[:1], cleaned[:1])
+    flat = Featurizer.fit(recs[:1], reports[:1], cleaned[:1],
+                          FeaturizerConfig(svd_components=16))
     assert fz.svd_basis.k == 16 and flat.svd_basis.k == 0
     return fz, flat, recs
 
@@ -783,22 +821,23 @@ def test_text_states_read_back_with_the_same_tables():
     assert loaded.bigrams == fitted.bigrams
 
 
-def pinned_corpus_matrices(fz, fit=True):
-    """The fit and held-out feature matrices of the pinned synth corpus
-    (fit: fit fz on the first 160 records first)."""
+def pinned_corpus_matrices(fz=None):
+    """(the featurizer, its fit and held-out feature matrices) on the pinned
+    synth corpus; without fz, one with a 24-wide text basis is fit on the
+    first 160 records."""
     recs, reports, cleaned = make_records(240, seed=17)
-    fit_rows = (fz.fit_transform if fit else fz.transform)(
-        recs[:160], reports[:160], cleaned[:160]).rows
-    return fit_rows, fz.transform(
-        recs[160:], reports[160:], cleaned[160:]).rows
+    fit = recs[:160], reports[:160], cleaned[:160]
+    held = recs[160:], reports[160:], cleaned[160:]
+    if fz is None:
+        fz = Featurizer.fit(*fit, FeaturizerConfig(svd_components=24))
+    return fz, [fz.transform(*part).rows for part in (fit, held)]
 
 
 def test_feature_matrix_fingerprint_pinned():
     """SHA-256 of the fit and held-out feature matrices of a fixed synth
     corpus, with the exact text SVD."""
     digest = hashlib.sha256()
-    for rows in pinned_corpus_matrices(
-            Featurizer(FeaturizerConfig(svd_components=24))):
+    for rows in pinned_corpus_matrices()[1]:
         digest.update(rows.tobytes())
     assert digest.hexdigest() == (
         "019cad6f6089b4827a36518a6e17fb1ac269f054a698cf20b9243970de12e170")
@@ -808,13 +847,12 @@ def test_exact_basis_matches_randomized_oracle_on_pinned_corpus():
     """On the pinned corpus the randomized sketch spans the whole TF-IDF
     matrix, so its basis is the exact one to rounding: the text columns
     agree within 1e-10 and every other column is the same bytes."""
-    fz = Featurizer(FeaturizerConfig(svd_components=24))
-    exact = pinned_corpus_matrices(fz)
+    fz, exact = pinned_corpus_matrices()
     recs, _, _ = make_records(240, seed=17)
     tfidf = as_matrix(transform_text_corpus(
         fz.text_state, [cq(r.query_text) for r in recs[:160]]))
-    fz.svd_basis = randomized_fit_svd(tfidf, 24)
-    oracle = pinned_corpus_matrices(fz, fit=False)
+    fz = dataclasses.replace(fz, svd_basis=randomized_fit_svd(tfidf, 24))
+    oracle = pinned_corpus_matrices(fz)[1]
     k = fz.svd_basis.k
     assert k == 24
     for rows, want in zip(exact, oracle):
