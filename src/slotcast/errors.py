@@ -33,6 +33,10 @@ class NonFiniteTarget(SlotcastError):
     """Training targets contain NaN or Inf."""
 
 
+class Diverged(SlotcastError):
+    """Boosting left the float range: the learning rate is too high."""
+
+
 class NegativeTarget(SlotcastError):
     """Slot-time targets must be non-negative."""
 

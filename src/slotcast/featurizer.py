@@ -434,6 +434,15 @@ def _raw(records: Sequence[QueryRecord], reports: Sequence[ComplexityReport],
     return np.array(cols, dtype=np.float64)
 
 
+def _label(category: str) -> str:
+    """A category as its column name ends: as it is, or as its repr where
+    it is empty, starts with a quote or is OTHER_CATEGORY. A repr starts
+    with a quote, so distinct categories get distinct labels, none of them
+    the other column's."""
+    plain = category[:1] not in ("", "'", '"') and category != OTHER_CATEGORY
+    return category if plain else repr(category)
+
+
 @dataclass(eq=False)
 class Featurizer:
     """A fitted feature pipeline, built by ``fit`` or ``from_state``.
@@ -465,7 +474,7 @@ class Featurizer:
             cats, at = self.category_maps[f], len(names)
             slot = {c: at + i for i, c in enumerate(cats)}
             self._one_hot.append((attrgetter(f), slot, at + len(cats)))
-            names += [f"cat_{f}_{c or '<empty>'}" for c in cats]
+            names += [f"cat_{f}_{_label(c)}" for c in cats]
             names.append(f"cat_{f}_{OTHER_CATEGORY}")
         names += ["cat_provider_aws", "cat_provider_gcp", "cat_provider_azure",
                   "cat_cache_hit"]

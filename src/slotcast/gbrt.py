@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import check, from_dict, setting, to_dict
-from .errors import (CorruptBundle, DimensionMismatch, NonFiniteTarget,
-                     TooFewSamples)
+from .errors import (CorruptBundle, DimensionMismatch, Diverged,
+                     NonFiniteTarget, TooFewSamples)
 
 _BINS = 256  # widest histogram a feature can have (value bins + missing bin)
 _STEPS = (128, 64, 32, 16, 8, 4, 2, 1)  # binary search steps over _BINS slots
@@ -55,31 +55,30 @@ class GBRTConfig:
 class BinMapper:
     """Quantile binning with a reserved per-feature missing-value bin.
 
-    The edges live in one (features x _BINS) float64 table: row f holds
-    feature f's non-decreasing edges (at most _BINS - 2 of them), then +inf
-    padding, and bin_edges[f] is a view of the row's edges. That is
-    F x 256 x 8 bytes per mapper, 143 KB at 70 features. A value's bin is
-    the count of its feature's edges <= it, found by a branchless binary
-    search of fixed steps over the padded row (Khuong & Morin, "Array
-    Layouts for Comparison-Based Searching", ACM JEA 2017)."""
+    The edges are held flat, as the bundle stores them: feature f's
+    non-decreasing edges, at most _BINS - 2, are edge_values[edge_offsets[f]:
+    edge_offsets[f + 1]], the offsets of any integer type. One scatter puts
+    them in a (features x _BINS) float64 search table, row f holding
+    feature f's edges, then +inf padding: F x 256 x 8 bytes, 143 KB at 70
+    features. A value's bin is the count of its feature's edges <= it,
+    found by a branchless binary search of fixed steps over the padded row
+    (Khuong & Morin, "Array Layouts for Comparison-Based Searching", ACM
+    JEA 2017)."""
 
-    def __init__(self, bin_edges: List[np.ndarray]):
-        table = np.full((len(bin_edges), _BINS), np.inf)
-        for f, e in enumerate(bin_edges):
-            table[f, :len(e)] = e
-        self.bin_edges = [table[f, :len(e)] for f, e in enumerate(bin_edges)]
-        self._missing = np.array([len(e) + 1 for e in bin_edges],
-                                 dtype=np.uint8)
-        self._base = np.arange(len(bin_edges), dtype=np.intp) * _BINS
-        # step s probes flat[pos + s - 1]; a view shifted by s - 1 makes that
-        # view[pos]. The steps sum to _BINS - 1, so a search never leaves
-        # its feature's row.
-        flat = table.ravel()
-        self._steps = [(flat[s - 1:], s) for s in _STEPS]
-
-    @property
-    def n_features(self) -> int:
-        return len(self.bin_edges)
+    def __init__(self, edge_values: np.ndarray, edge_offsets: np.ndarray):
+        self.edge_values, self.edge_offsets = edge_values, edge_offsets
+        start = edge_offsets.astype(np.intp)  # uint64 + intp is a float64
+        counts = np.diff(start)
+        self.n_features = counts.size
+        self._missing = (counts + 1).astype(np.uint8)
+        self._base = np.arange(counts.size, dtype=np.intp) * _BINS
+        table = np.full(counts.size * _BINS, np.inf)  # edge i of feature f
+        table[np.arange(edge_values.size)  # at slot f * _BINS + i - start[f]
+              + np.repeat(self._base - start[:-1], counts)] = edge_values
+        # step s probes table[pos + s - 1]; a view shifted by s - 1 makes
+        # that view[pos]. The steps sum to _BINS - 1, so a search never
+        # leaves its feature's row.
+        self._steps = [(table[s - 1:], s) for s in _STEPS]
 
     @classmethod
     def fit(cls, x: np.ndarray, max_bins: int = 255) -> "BinMapper":
@@ -114,7 +113,8 @@ class BinMapper:
                     qs[odd] = np.percentile(col, ps[odd], method="higher")
                     e = np.unique(qs)
             edges.append(e)
-        return cls(edges)
+        return cls(np.concatenate([np.empty(0)] + edges),
+                   np.cumsum([0] + [e.size for e in edges], dtype=np.int64))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Bins of x as uint8, one block of rows at a time, in one code path
@@ -139,7 +139,7 @@ class BinMapper:
 
 class HistLayout:
     """Where each feature's bins sit in one flat histogram, laid out once per
-    fit from the bin edges. Feature f has len(edges) + 2 bins: its value
+    fit from the edge offsets. Feature f has len(edges) + 2 bins: its value
     bins, then its missing bin. Features of at most _NARROW bins (binary and
     small categorical columns) form a narrow block and all others a wide
     block, each of (members x width) bins, width being the block's widest
@@ -152,8 +152,8 @@ class HistLayout:
     feature's own bins, training took a quarter longer on the first kind
     of data set than on the second, at the same shape."""
 
-    def __init__(self, bin_edges: List[np.ndarray]):
-        widths = np.array([len(e) + 2 for e in bin_edges], dtype=np.int64)
+    def __init__(self, edge_offsets: np.ndarray):
+        widths = np.diff(edge_offsets).astype(np.int64) + 2
         self.offsets = np.empty(widths.size, dtype=np.int64)  # of each bin 0
         self.blocks: List[Tuple[int, int, int]] = []  # (start, members, width)
         ranks = [np.empty(0, dtype=np.int64)]
@@ -322,29 +322,31 @@ def _feature_dtype(n_features: int) -> type:
     return np.int16 if n_features <= 2 ** 15 else np.int32
 
 
-def _tested_edges(bin_edges: List[np.ndarray], feature: np.ndarray,
-                  threshold: np.ndarray) -> Tuple[BinMapper, np.ndarray]:
-    """A BinMapper of only the edges some internal node tests, and each
-    node's threshold renumbered into them as uint8: the count of tested
-    thresholds below it. A bin is the count of edges <= x, so bin <= t
-    holds exactly when x < edges[t], and the renumbered test reads the same
-    edge. A threshold at the last value bin, t = len(edges), which sends
-    every finite value left, tests no edge and becomes the new edge
-    count."""
+def _tested_edges(edge_values: np.ndarray, edge_offsets: np.ndarray,
+                  feature: np.ndarray, threshold: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges some internal node tests, flat as BinMapper holds them, and
+    each node's threshold renumbered into them as uint8. A bin is the count
+    of edges <= x, so bin <= t holds exactly when x < edges[t]: node (f, t)
+    tests flat edge edge_offsets[f] + t, unless t = len(edges), the last
+    value bin, which sends every finite value left and tests none. One
+    running count of the tested edges renumbers the thresholds and offsets;
+    t = len(edges) becomes the new edge count."""
     inner = feature >= 0
-    key = feature[inner].astype(np.intp) * _BINS + threshold[inner]
-    tested = np.zeros((len(bin_edges), _BINS), dtype=bool)
-    tested.flat[key] = True
-    # a feature has at most 255 thresholds, so its counts fit a uint8
-    below = np.cumsum(tested, axis=1, dtype=np.uint8) - tested
+    f = feature[inner].astype(np.intp)  # an int16 f + 1 overflows at 2**15
+    start = edge_offsets[f]
+    at = start + threshold[inner]
+    tested = np.zeros(edge_values.size, dtype=bool)
+    tested[at[at < edge_offsets[f + 1]]] = True
+    below = np.concatenate(([0], np.cumsum(tested, dtype=np.int64)))
     renumbered = np.zeros(threshold.size, dtype=np.uint8)
-    renumbered[inner] = below.flat[key]
-    return (BinMapper([e[tested[f, :len(e)]] for f, e in enumerate(bin_edges)]),
-            renumbered)
+    renumbered[inner] = below[at] - below[start]
+    return renumbered, edge_values[tested], below[edge_offsets]
 
 
-_NODE_ARRAYS = ("node_feature", "node_threshold", "node_left", "node_right",
-                "node_value", "tree_offsets")
+_ARRAYS = ("node_feature", "node_threshold", "node_left", "node_right",
+           "node_value", "tree_offsets", "train_losses", "edge_values",
+           "edge_offsets")
 
 
 def _number_leaves(offsets: np.ndarray, inner: np.ndarray,
@@ -400,27 +402,29 @@ def _number_leaves(offsets: np.ndarray, inner: np.ndarray,
 
 @dataclass
 class Forest:
-    """Fitted ensemble held in flat node arrays, as the bundle stores them:
-    tree t owns nodes tree_offsets[t]:tree_offsets[t + 1], root first, and
-    child ids are local to the tree (fit makes them larger than their
-    parent's). fit stores features, thresholds and child ids in the
-    narrowest integer types that hold them, and keeps in the bin mapper
-    only the edges its nodes test; loading takes any integer type. For
-    scoring, __post_init__ lays out one column per internal node (its
-    feature, threshold and leaf mask) behind one sentinel column per
-    tree; nodes that share a test each keep their own column."""
+    """Fitted ensemble held in exactly the arrays the bundle stores: tree t
+    owns nodes tree_offsets[t]:tree_offsets[t + 1], root first, child ids
+    local to the tree (fit makes them larger than their parent's); feature
+    f's edges, only those some node tests, are edge_values[edge_offsets[f]:
+    edge_offsets[f + 1]]. fit stores integers in the narrowest types that
+    hold them; loading keeps the types it reads. __post_init__ derives the
+    bin mapper of the edges and one scoring column per internal node (its
+    feature, threshold and leaf mask) behind one sentinel column per tree."""
     config: GBRTConfig
     b0: float
-    bin_mapper: BinMapper
     node_feature: np.ndarray    # int16 (int32 past 2**15 features), -1 at leaves
     node_threshold: np.ndarray  # uint8 bin index, go left when bin <= threshold
     node_left: np.ndarray       # int8 local child ids, -1 at leaves
     node_right: np.ndarray
     node_value: np.ndarray      # float64 leaf contributions (log-space)
     tree_offsets: np.ndarray    # int64, n_trees + 1 entries
-    train_losses: np.ndarray = field(default_factory=lambda: np.empty(0))
+    train_losses: np.ndarray    # float64, the training loss after each round
+    edge_values: np.ndarray     # float64, the tested edges feature by feature
+    edge_offsets: np.ndarray    # int64, n_features + 1 entries
 
     def __post_init__(self) -> None:
+        self.bin_mapper = BinMapper(self.edge_values, self.edge_offsets)
+        self.n_features = self.bin_mapper.n_features
         # QuickScorer leaf masks (Lucchese et al., SIGIR 2015). Each tree
         # numbers its leaves left to right, bit i of a uint64 standing for
         # leaf i. An internal node's mask has its left subtree's leaves
@@ -457,10 +461,6 @@ class Forest:
         # rows per block: a block's (columns x rows) uint64 words stay
         # within about 2**17 elements
         self._block = max(1, 2 ** 17 // max(1, self._col_feature.size))
-
-    @property
-    def n_features(self) -> int:
-        return self.bin_mapper.n_features
 
     @property
     def n_trees(self) -> int:
@@ -501,28 +501,28 @@ class Forest:
     # -- serialization ------------------------------------------------------
 
     def get_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        edges = self.bin_mapper.bin_edges
-        edge_offsets = np.cumsum([0] + [e.size for e in edges]).astype(np.int64)
         meta = {"config": to_dict(self.config), "b0": self.b0}
-        arrays = {k: getattr(self, k) for k in _NODE_ARRAYS + ("train_losses",)}
-        arrays["edge_values"] = np.concatenate(edges) if edges else np.empty(0)
-        arrays["edge_offsets"] = edge_offsets
-        return meta, arrays
+        return meta, {k: getattr(self, k) for k in _ARRAYS}
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "Forest":
-        """Inverse of get_state. Raises CorruptBundle unless the arrays
-        describe trees the forest can score: features are known, thresholds
-        fit a uint8, an internal node's threshold is one of its feature's
-        value bins (fit never splits at the missing bin, which sends every
-        row left), each feature's bin edges are non-decreasing float64
-        values, as binning's search needs, and b0 is a float and it and the
-        node values are finite, with |b0| plus the learning rate times each
-        tree's largest |leaf value| below log(float max), so that no
-        prediction overflows expm1; building the forest checks that the children make each tree
-        a tree of at most MAX_LEAVES leaves."""
-        f, t, lft, rgt, val, off = (arrays[k] for k in _NODE_ARRAYS)
-        eo, ev = arrays["edge_offsets"], arrays["edge_values"]
+        """Inverse of get_state; the forest keeps the arrays as read, in
+        their integer types. Raises CorruptBundle unless:
+        - every array is 1-D, ids, thresholds and offsets are integers, and
+          the node arrays agree in length;
+        - tree_offsets start at 0, rise strictly and end at the node count;
+          edge_offsets start at 0, end at the edge count and give each
+          feature 0 to 254 edges;
+        - node features are known (-1 at leaves), and an internal node's
+          threshold is one of its feature's value bins: fit never splits at
+          the missing bin, which sends every row left;
+        - edge_values are float64, with no NaN, and non-decreasing within
+          each feature, as binning's search needs;
+        - b0 is a float, b0 and the node values are finite, and no
+          prediction overflows expm1 (_expm1_safe);
+        - each tree has at most MAX_LEAVES leaves (building checks this)."""
+        arrays = {k: arrays[k] for k in _ARRAYS}
+        f, t, lft, rgt, val, off, _, ev, eo = arrays.values()
         if not (all(a.ndim == 1 for a in (f, t, lft, rgt, val, off, eo, ev))
                 and all(a.dtype.kind in "iu" for a in (f, t, lft, rgt, off, eo))
                 and t.size == lft.size == rgt.size == val.size == f.size
@@ -547,19 +547,22 @@ class Forest:
             raise CorruptBundle("forest: bin edges are not float64 and "
                                 "non-decreasing within each feature")
         config, b0 = from_dict(GBRTConfig, meta["config"]), meta["b0"]
-        leaf = np.where(f < 0, np.abs(val), 0.0)
-        with np.errstate(over="ignore"):  # an infinite reach is refused
-            reach = config.learning_rate * np.maximum.reduceat(
-                leaf, off[:-1]).sum()
+        peaks = np.maximum.reduceat(np.where(f < 0, np.abs(val), 0.0),
+                                    off[:-1])
         if not (isinstance(b0, float) and np.isfinite(val).all()
-                and abs(b0) + reach < _LOG_MAX):
+                and _expm1_safe(b0, config.learning_rate, peaks)):
             raise CorruptBundle("forest: b0 is not a float, b0 or a node "
                                 "value is not finite, or a prediction could "
                                 "overflow expm1")
-        edges = [ev[eo[i]:eo[i + 1]] for i in range(eo.size - 1)]
-        return cls(config=config, b0=b0, bin_mapper=BinMapper(edges),
-                   train_losses=arrays["train_losses"],
-                   **{k: arrays[k] for k in _NODE_ARRAYS})
+        return cls(config, b0, **arrays)
+
+
+def _expm1_safe(b0: float, learning_rate: float, peaks: np.ndarray) -> bool:
+    """|b0| plus the learning rate times the sum of each tree's largest
+    |leaf value| (peaks) is below log(float max): no prediction overflows
+    expm1."""
+    with np.errstate(over="ignore"):  # an infinite reach fails
+        return bool(abs(b0) + learning_rate * peaks.sum() < _LOG_MAX)
 
 
 def fit(features: np.ndarray, targets: np.ndarray,
@@ -579,26 +582,35 @@ def fit(features: np.ndarray, targets: np.ndarray,
 
     mapper = BinMapper.fit(x, max_bins=config.max_bins)
     xb = mapper.transform(x)
-    slots = Slots(xb, HistLayout(mapper.bin_edges))
-    b0 = float(y.mean())
+    slots = Slots(xb, HistLayout(mapper.edge_offsets))
+    lr, b0 = config.learning_rate, float(y.mean())
     pred = np.full(y.shape, b0)
     nodes: List[list] = []
     sizes = [0]
     losses = np.empty(config.iterations)
+    peaks = np.empty(config.iterations)  # each tree's largest |leaf value|
     for m in range(config.iterations):
         residual = y - pred
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tree, out = _grow_tree(xb, residual, config, slots)
-        pred = pred + config.learning_rate * out
+            pred = pred + lr * out
+            losses[m] = float(np.mean((y - pred) ** 2))
         nodes.extend(tree)
         sizes.append(len(tree))
-        losses[m] = float(np.mean((y - pred) ** 2))
+        # out holds exactly the leaf values, as every leaf holds a row; the
+        # last round's check is the one Forest.from_state makes
+        peaks[m] = np.abs(out).max()
+        if not (np.isfinite(losses[m]) and _expm1_safe(b0, lr, peaks[:m + 1])):
+            raise Diverged(f"gbrt.learning_rate = {lr!r} diverges: after "
+                           f"round {m + 1} the training loss is not finite "
+                           "or a prediction could overflow expm1")
     feature, threshold, left, right, value = (
         np.array(c, dtype=d) for c, d in zip(
             list(zip(*nodes)) or [()] * 5,
             (_feature_dtype(x.shape[1]), np.intp, np.int8, np.int8,
              np.float64)))
-    tested, threshold = _tested_edges(mapper.bin_edges, feature, threshold)
-    return Forest(config, b0, tested, feature, threshold, left, right, value,
-                  np.cumsum(sizes).astype(np.int64), losses)
+    threshold, *edges = _tested_edges(mapper.edge_values, mapper.edge_offsets,
+                                      feature, threshold)
+    return Forest(config, b0, feature, threshold, left, right, value,
+                  np.cumsum(sizes).astype(np.int64), losses, *edges)
 

@@ -363,12 +363,12 @@ def split_by_environment(records: Sequence[QueryRecord],
                          test_envs: Sequence[str]
                          ) -> Tuple[List[QueryRecord], List[QueryRecord]]:
     """Out-of-distribution split: no environment crosses the partition."""
-    overlap = set(train_envs) & set(test_envs)
+    test_set, train_set = set(test_envs), set(train_envs)
+    overlap = train_set & test_set
     if overlap:
         raise OverlappingEnvironments(f"environments in both lists: {sorted(overlap)}")
-    test = [r for r in records if r.environment in set(test_envs)]
-    train_set = set(train_envs)
+    test = [r for r in records if r.environment in test_set]
     train = [r for r in records
-             if r.environment not in set(test_envs)
+             if r.environment not in test_set
              and (not train_set or r.environment in train_set)]
     return train, test

@@ -135,6 +135,36 @@ def naive_metrics(actual, predicted):
     return mae, rmse, 1 - var_r / var_a, var_p / var_a
 
 
+def flat_edges(edges):
+    """Per-feature edge lists as gbrt holds them: (edge_values, int64
+    edge_offsets)."""
+    return (np.concatenate([np.empty(0)] + [np.asarray(e) for e in edges]),
+            np.cumsum([0] + [len(e) for e in edges], dtype=np.int64))
+
+
+def feature_edges(holder):
+    """Each feature's edges as views of the flat edge_values of a gbrt
+    BinMapper or Forest (or anything holding edge_values and
+    edge_offsets)."""
+    offsets = holder.edge_offsets.tolist()
+    return [holder.edge_values[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def naive_tested_edges(edges, feature, threshold):
+    """gbrt._tested_edges as first defined, per feature: a (features x 256)
+    mask of the tested (feature, threshold) pairs, each feature's edges
+    where its mask is set, and each node's threshold renumbered as uint8 to
+    the count of set entries of its feature's mask row below it."""
+    inner = feature >= 0
+    key = feature[inner].astype(np.intp) * 256 + threshold[inner]
+    tested = np.zeros((len(edges), 256), dtype=bool)
+    tested.flat[key] = True
+    below = np.cumsum(tested, axis=1, dtype=np.uint8) - tested
+    renumbered = np.zeros(threshold.size, dtype=np.uint8)
+    renumbered[inner] = below.flat[key]
+    return [e[tested[f, :len(e)]] for f, e in enumerate(edges)], renumbered
+
+
 def naive_bin_row(edges, row):
     """Bin one row with bisect over per-feature edge lists; a non-finite
     value takes its feature's missing bin, len(e) + 1 for edge list e."""
@@ -149,7 +179,7 @@ def naive_forest_predict(forest, x):
     missing bin), follows one root-to-leaf path per tree, and adds
     b0 + learning_rate * leaf value in tree order with Python floats.
     """
-    edges = [e.tolist() for e in forest.bin_mapper.bin_edges]
+    edges = [e.tolist() for e in feature_edges(forest)]
     feature = forest.node_feature.tolist()
     threshold = forest.node_threshold.tolist()
     left = forest.node_left.tolist()

@@ -35,6 +35,8 @@ from slotcast.records import _CHECKS, QueryRecord
 from slotcast.sql_analyzer import clean_query
 from slotcast.synth import OracleCostModel, WorkloadConfig, generate
 
+from naive_oracles import feature_edges
+
 
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
@@ -269,6 +271,31 @@ def test_retired_svd_keys_are_unknown(tmp_path, capsys, key):
     assert capsys.readouterr().err == (
         f"config error: unknown config key(s): {key}\n")
     assert not (tmp_path / "m.sltb").exists()
+
+
+@pytest.mark.parametrize("rate", ["1e300", "50"])
+def test_diverging_learning_rate_is_domain_error(tmp_path, capsys, rate):
+    """At 1e300 the first round's training loss is not finite; at 50 the
+    loss stays finite over 5 rounds, but the forest could overflow expm1,
+    which loading would refuse. Either ends train with exit 1 and one error
+    line naming the learning rate, and writes no bundle; pyproject's
+    RuntimeWarning filter fails the test on any warning on the way."""
+    data = tmp_path / "w.jsonl"
+    assert main(["synth", "--output", str(data), "--n-queries", "400",
+                 "--seed", "3"]) == EXIT_OK
+    cfg = tmp_path / "lr.cfg"
+    cfg.write_text(f"gbrt.iterations = 5\ngbrt.learning_rate = {rate}\n",
+                   encoding="utf-8")
+    capsys.readouterr()
+    bundle = tmp_path / "m.sltb"
+    assert main(["train", "--input", str(data), "--output-bundle",
+                 str(bundle), "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: gbrt.learning_rate = {float(rate)!r} diverges")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.cfg", "w.jsonl"]
 
 
 @pytest.mark.parametrize("key", ["gbrt.seed", "gbrt.binning_sample",
@@ -812,7 +839,7 @@ def test_bundle_with_unsorted_bin_edges_is_io_error(trained, tmp_path,
     checksum: loading refuses them, as binning's search needs sorted edges."""
     _, data, bundle = trained
     model = load_bundle(bundle)
-    edges = next(e for e in model.forests["simple"].bin_mapper.bin_edges
+    edges = next(e for e in feature_edges(model.forests["simple"])
                  if e.size >= 2)
     edges[:2] = edges[1::-1].copy()
     bad = tmp_path / "unsorted.sltb"

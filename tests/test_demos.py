@@ -8,15 +8,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# a numpy RuntimeWarning on a subprocess's stderr fails it, as pyproject's
+# filterwarnings fails an in-process test
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+           PYTHONWARNINGS="error::RuntimeWarning")
 
 
 @pytest.mark.parametrize("demo", [
     "01_complexity_scoring.py", "02_text_features.py",
     "03_synthetic_workload.py", "04_train_and_evaluate.py"])
 def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          cwd=ROOT, env=ENV, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -30,8 +33,7 @@ def test_cli_walkthrough_exits_zero(tmp_path):
     shim.write_text(
         f'#!/bin/sh\nexec "{sys.executable}" -m slotcast.cli "$@"\n')
     shim.chmod(0o755)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-               PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    env = dict(ENV, PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
     demo = ROOT / "demos" / "05_cli_walkthrough.sh"
     proc = subprocess.run(["bash", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slotcast.errors import (
@@ -21,6 +21,7 @@ from slotcast.featurizer import (
     CorpusRows,
     Featurizer,
     FeaturizerConfig,
+    OTHER_CATEGORY,
     _gram,
     _one_blas_thread,
     _openblas_threads,
@@ -532,6 +533,40 @@ def test_unseen_category_maps_to_other():
     m = fz.transform([probe], [reports[0]], [cleaned[0]])
     cols = {n: i for i, n in enumerate(m.column_names)}
     assert m.rows[0, cols["cat_asset_type___OTHER__"]] == 1.0
+
+
+@lru_cache(maxsize=1)
+def small_featurizer():
+    recs, reports, cleaned = make_records(30, seed=8)
+    return Featurizer.fit(recs, reports, cleaned,
+                          FeaturizerConfig(svd_components=4))
+
+
+# strings that read as another category's or the other column's label
+_TRICKY = st.sampled_from(["", "<empty>", OTHER_CATEGORY, "'", '"', "''",
+                           repr(OTHER_CATEGORY), "'<empty>'", "us"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(*[st.lists(st.one_of(_TRICKY, st.text(max_size=4)), unique=True,
+                  max_size=8)] * 2)
+@example(["", "<empty>", "us"], ["", OTHER_CATEGORY, "vm"])
+def test_feature_names_are_unique(regions, asset_types):
+    """No two columns share a name, whatever the category strings; every
+    name that is not a category's keeps its form."""
+    base = small_featurizer()
+    fz = dataclasses.replace(base, category_maps={"region": regions,
+                                                  "asset_type": asset_types})
+    names = fz.column_names
+    assert len(set(names)) == len(names)
+    assert names[-4:] == base.column_names[-4:] == [
+        "cat_provider_aws", "cat_provider_gcp", "cat_provider_azure",
+        "cat_cache_hit"]
+    for f, cats in (("asset_type", asset_types), ("region", regions)):
+        assert f"cat_{f}_{OTHER_CATEGORY}" in names
+        assert sum(n.startswith(f"cat_{f}_") for n in names) == len(cats) + 1
+    fixed = [n for n in names if not n.startswith("cat_")]
+    assert fixed == [n for n in base.column_names if not n.startswith("cat_")]
 
 
 def test_one_hot_blocks_are_valid():

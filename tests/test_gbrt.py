@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from naive_oracles import (_naive_best_split, _naive_histograms, naive_bin_row,
-                           naive_fit, naive_forest_predict)
+from naive_oracles import (_naive_best_split, _naive_histograms, feature_edges,
+                           flat_edges, naive_bin_row, naive_fit,
+                           naive_forest_predict, naive_tested_edges)
 from slotcast import gbrt
 from slotcast.config import from_dict, to_dict
 from slotcast.errors import (ConfigError, CorruptBundle, DimensionMismatch,
@@ -63,7 +64,7 @@ def test_bin_edges_strictly_increasing():
     for values in columns:
         x = np.array(values, dtype=np.float64)[:, None]
         mapper = BinMapper.fit(x)
-        e = mapper.bin_edges[0]
+        e = feature_edges(mapper)[0]
         assert np.all(np.isfinite(e)) and np.all(e[1:] > e[:-1])
         distinct = np.unique(x)
         if distinct.size <= 254:  # one bin per distinct value
@@ -77,14 +78,14 @@ def test_every_finite_value_maps_to_one_bin():
     mapper = BinMapper.fit(x)
     xb = mapper.transform(x)
     for f in range(2):
-        assert xb[:, f].max() < len(mapper.bin_edges[f]) + 1
+        assert xb[:, f].max() < len(feature_edges(mapper)[f]) + 1
 
 
 def test_missing_values_route_to_missing_bin():
     x = np.array([[1.0], [2.0], [np.nan], [3.0]])
     mapper = BinMapper.fit(x)
     xb = mapper.transform(x)
-    assert xb[2, 0] == len(mapper.bin_edges[0]) + 1
+    assert xb[2, 0] == len(feature_edges(mapper)[0]) + 1
     assert np.array_equal(mapper.transform(x), xb)  # deterministic
 
 
@@ -92,8 +93,8 @@ def test_high_cardinality_respects_bin_budget():
     rng = np.random.default_rng(2)
     x = rng.uniform(size=(5000, 1))
     mapper = BinMapper.fit(x, max_bins=255)
-    assert len(mapper.bin_edges[0]) <= 254
-    assert len(mapper.bin_edges[0]) + 1 <= 255
+    assert len(feature_edges(mapper)[0]) <= 254
+    assert len(feature_edges(mapper)[0]) + 1 <= 255
 
 
 @st.composite
@@ -133,7 +134,7 @@ def binning_cases(draw):
 @given(binning_cases())
 def test_transform_matches_bisect_oracle(case):
     edges, x = case
-    mapper = BinMapper(edges)
+    mapper = BinMapper(*flat_edges(edges))
     xb = mapper.transform(x)
     want = np.array([naive_bin_row([e.tolist() for e in edges], row)
                      for row in x.tolist()], dtype=np.uint8)
@@ -266,7 +267,7 @@ def test_split_gains_positive_and_histogram_consistency():
     config = small_config(iterations=3)
     forest = gbrt.fit(x, y, config)
     xb = forest.bin_mapper.transform(x)
-    slots = Slots(xb, HistLayout(forest.bin_mapper.bin_edges))
+    slots = Slots(xb, HistLayout(forest.edge_offsets))
 
     # replay residuals to walk each tree's splits
     pred = np.full(y.shape, forest.b0)
@@ -385,13 +386,14 @@ def full_edge_thresholds(forest, full):
     """The forest's thresholds as bins of the full BinMapper full, in the
     int32 of bundle formats 5 and older: each split value's position among
     its feature's full edges, or their count for +inf."""
-    values = split_values(forest.bin_mapper.bin_edges, forest.node_feature,
+    values = split_values(feature_edges(forest), forest.node_feature,
                           forest.node_threshold)
     out = np.zeros(values.size, dtype=np.int32)
     for i, (f, v) in enumerate(zip(forest.node_feature.tolist(), values)):
         if f >= 0:
-            out[i] = np.searchsorted(full.bin_edges[f], v)
-            assert v == np.inf or full.bin_edges[f][out[i]] == v
+            edges = feature_edges(full)[f]
+            out[i] = np.searchsorted(edges, v)
+            assert v == np.inf or edges[out[i]] == v
     return out
 
 
@@ -411,9 +413,9 @@ def test_fit_matches_unguarded_full_width_oracle_bit_for_bit(case):
     b0, arrays, losses = naive_fit(x, y, config)
     assert forest.b0 == b0
     full = BinMapper.fit(x, max_bins=config.max_bins)
-    assert split_values(forest.bin_mapper.bin_edges, forest.node_feature,
+    assert split_values(feature_edges(forest), forest.node_feature,
                         forest.node_threshold).tobytes() == split_values(
-        full.bin_edges, arrays["node_feature"],
+        feature_edges(full), arrays["node_feature"],
         arrays["node_threshold"]).tobytes()
     for name, want in arrays.items():
         got = getattr(forest, name)
@@ -454,7 +456,7 @@ def used_edge_cases(draw):
     probes = [np.concatenate([e, np.nextafter(e, -np.inf),
                               np.nextafter(e, np.inf), [np.nan, np.inf,
                                                         -np.inf]])
-              for e in full.bin_edges]
+              for e in feature_edges(full)]
     rows = max(p.size for p in probes)
     probe_rows = np.column_stack(
         [rng.permutation(np.resize(p, rows)) for p in probes])
@@ -471,15 +473,57 @@ def test_used_edge_forest_decides_as_the_full_edge_one(case):
     x, y, config, full, rows = case
     forest = gbrt.fit(x, y, config)
     b0, arrays, _ = naive_fit(x, y, config)
-    oracle = SimpleNamespace(b0=b0, config=config, bin_mapper=full, **arrays)
+    oracle = SimpleNamespace(b0=b0, config=config,
+                             edge_values=full.edge_values,
+                             edge_offsets=full.edge_offsets, **arrays)
     assert_bit_identical(forest.predict(rows),
                          naive_forest_predict(oracle, rows))
     inner = forest.node_feature >= 0
     tested = set(zip(forest.node_feature[inner].tolist(),
                      forest.node_threshold[inner].tolist()))
-    for f, e in enumerate(forest.bin_mapper.bin_edges):
+    for f, e in enumerate(feature_edges(forest)):
         assert np.all(e[1:] > e[:-1])
         assert all((f, t) in tested for t in range(e.size))
+
+
+@st.composite
+def renumbering_cases(draw):
+    """Features of 0, 254 and a few other edge counts, and node arrays as
+    fit makes them: int16 features, -1 and threshold 0 at leaves, and
+    internal nodes that test some edges, some of them twice or at the last
+    value bin (len(edges)), while one feature is tested by no node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    counts = np.array(draw(st.permutations(
+        [0, 254] + draw(st.lists(st.sampled_from([1, 2, 37, 254]),
+                                 max_size=4)))))
+    edges = [np.cumsum(rng.uniform(0.01, 1.0, size=k)) for k in counts]
+    untested = draw(st.integers(0, counts.size - 1))
+    n = draw(st.integers(0, 80))
+    feature = rng.choice(np.delete(np.arange(counts.size), untested),
+                         size=n).astype(np.int16)
+    threshold = rng.integers(0, counts[feature] + 1)
+    last = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    threshold[last] = counts[feature][last]
+    leaf = rng.random(n) < 0.3
+    feature[leaf], threshold[leaf] = -1, 0
+    return edges, feature, threshold
+
+
+@settings(max_examples=100, deadline=None)
+@given(renumbering_cases())
+def test_tested_edges_match_per_feature_definition(case):
+    """The flat renumbering keeps the edges, offsets and uint8 thresholds
+    of the per-feature (features x 256) mask it replaced, byte for byte."""
+    edges, feature, threshold = case
+    renumbered, values, offsets = gbrt._tested_edges(
+        *flat_edges(edges), feature, threshold)
+    want_edges, want_threshold = naive_tested_edges(edges, feature, threshold)
+    want_values, want_offsets = flat_edges(want_edges)
+    assert values.tobytes() == want_values.tobytes()
+    assert offsets.dtype == np.int64
+    assert offsets.tobytes() == want_offsets.tobytes()
+    assert renumbered.dtype == np.uint8
+    assert renumbered.tobytes() == want_threshold.tobytes()
 
 
 @st.composite
@@ -500,7 +544,7 @@ def node_cases(draw):
     subset = np.flatnonzero(rng.random(n) < share)
     subset = subset if subset.size < n else subset[1:]
     f = draw(st.integers(0, x.shape[1] - 1))
-    b = draw(st.integers(0, len(mapper.bin_edges[f])))
+    b = draw(st.integers(0, len(feature_edges(mapper)[f])))
     return mapper, xb, rng.normal(size=n), subset, f, b
 
 
@@ -516,7 +560,7 @@ def test_histograms_match_naive_oracle(case):
     counts; any other node gathers into scratch. Both give the oracle's
     sums bit for bit, for every row, one row and a random subset."""
     mapper, xb, g, subset, _, _ = case
-    layout = HistLayout(mapper.bin_edges)
+    layout = HistLayout(mapper.edge_offsets)
     slots = Slots(xb, layout)
     one = np.array([len(xb) // 2])
     for idx in (np.arange(len(xb)), one, subset):
@@ -537,7 +581,7 @@ def test_carried_counts_equal_fresh_running_sums(case, at_root):
     running sums, cumsum(parent) - cumsum(small), rounds differently and
     fails this."""
     mapper, xb, g, subset, f, b = case
-    layout = HistLayout(mapper.bin_edges)
+    layout = HistLayout(mapper.edge_offsets)
     slots = Slots(xb, layout)
     root = np.arange(len(xb))
     root_c = _naive_histograms(xb, root, g)[1]
@@ -597,7 +641,8 @@ def test_fit_fingerprint_pinned():
     x, y = mixed_matrix()
     forest = gbrt.fit(x, y, GBRTConfig(iterations=40, learning_rate=0.07))
     full = BinMapper.fit(x)
-    _, arrays = dataclasses.replace(forest, bin_mapper=full).get_state()
+    _, arrays = dataclasses.replace(forest, edge_values=full.edge_values,
+                                    edge_offsets=full.edge_offsets).get_state()
     arrays.update(node_threshold=full_edge_thresholds(forest, full),
                   **{k: arrays[k].astype(np.int32) for k in (
                       "node_feature", "node_left", "node_right")})
@@ -612,7 +657,7 @@ def test_fit_fingerprint_pinned():
 def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
     edges = [np.empty(0), np.arange(1.0), np.arange(100.0), np.arange(254.0),
              np.arange(70.0), np.arange(1.0)]
-    layout = HistLayout(edges)
+    layout = HistLayout(flat_edges(edges)[1])
     # widths 2, 3, 102, 256, 72, 3: narrow 2, 3, 3 padded to 3, wide to 256
     assert layout.blocks == [(0, 3, 3), (9, 3, 256)]
     assert layout.offsets.tolist() == [0, 3, 9, 265, 521, 6]
@@ -885,7 +930,8 @@ def test_from_state_rejects_unwalkable_arrays(edit):
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint16, np.uint64])
-@pytest.mark.parametrize("name", ["node_threshold", "node_left", "node_right"])
+@pytest.mark.parametrize("name", ["node_threshold", "node_left", "node_right",
+                                  "edge_offsets"])
 def test_from_state_takes_node_arrays_of_any_integer_type(name, dtype):
     """A bundle's node arrays may be of any integer type that holds their
     values. In an unsigned one the leaves' -1 wraps to the type's maximum,
@@ -899,6 +945,17 @@ def test_from_state_takes_node_arrays_of_any_integer_type(name, dtype):
     assert_bit_identical(forest.predict(x), naive_forest_predict(forest, x))
 
 
+def test_forest_holds_the_arrays_its_state_holds():
+    """from_state keeps the arrays it reads, in their integer types, and
+    get_state returns the forest's own arrays."""
+    meta, arrays = corrupted_state(lambda a, i: None)  # int32 node arrays
+    arrays["edge_offsets"] = arrays["edge_offsets"].astype(np.uint16)
+    forest = Forest.from_state(meta, arrays)
+    state = forest.get_state()[1]
+    assert sorted(state) == sorted(arrays)
+    assert all(state[k] is arrays[k] is getattr(forest, k) for k in arrays)
+
+
 @pytest.mark.parametrize("n_leaves", [64, 65])
 def test_from_state_takes_at_most_64_leaves_per_tree(n_leaves):
     """A right-leaning chain of n_leaves leaves: node 2i splits at bin i,
@@ -908,7 +965,7 @@ def test_from_state_takes_at_most_64_leaves_per_tree(n_leaves):
     size = 2 * n_leaves - 1
     ids = np.arange(size, dtype=np.int32)
     inner = (ids % 2 == 0) & (ids < size - 1)
-    edges = BinMapper.fit(x).bin_edges[0]  # bins 0..63 need 63 edges
+    edges = feature_edges(BinMapper.fit(x))[0]  # bins 0..63 need 63 edges
     arrays.update(
         edge_values=edges.copy(), edge_offsets=np.array([0, edges.size]),
         node_feature=np.where(inner, 0, -1).astype(np.int32),

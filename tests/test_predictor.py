@@ -41,7 +41,7 @@ from slotcast.records import QueryRecord
 from slotcast.sql_analyzer import clean_query
 from slotcast.synth import OperatorPlan, WorkloadConfig, generate, render_query
 
-from naive_oracles import naive_transform_text
+from naive_oracles import feature_edges, naive_transform_text
 
 
 @pytest.fixture(scope="module")
@@ -671,7 +671,7 @@ def test_forest_edges_may_repeat_and_fall_between_features(bundle):
     ev[at + 1] = ev[at]
     loaded = gbrt.Forest.from_state(meta, {**arrays, "edge_values": ev})
     end = arrays["edge_offsets"][f + 1]
-    assert np.array_equal(loaded.bin_mapper.bin_edges[f], ev[at:end])
+    assert np.array_equal(feature_edges(loaded)[f], ev[at:end])
 
 
 def test_retrain_byte_identical(workload, small_train_config):
