@@ -34,7 +34,8 @@ class NonFiniteTarget(SlotcastError):
 
 
 class Diverged(SlotcastError):
-    """Boosting left the float range: the learning rate is too high."""
+    """Boosting left the float range: the targets or the learning rate are
+    too large."""
 
 
 class NegativeTarget(SlotcastError):

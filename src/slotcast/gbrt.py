@@ -142,8 +142,16 @@ class HistLayout:
     fit from the edge offsets. Feature f has len(edges) + 2 bins: its value
     bins, then its missing bin. Features of at most _NARROW bins (binary and
     small categorical columns) form a narrow block and all others a wide
-    block, each of (members x width) bins, width being the block's widest
+    block, each (members x width) bins, width being the block's widest
     member; the padding bins stay empty, so no split lands in them.
+
+    Within a block the members go in pairs, and a pair shares each bin
+    position as the real and imaginary lanes of one complex128: feature f's
+    bin b is slot offsets[f] + 2 * b. One complex running sum then adds two
+    features' bins per step, each lane in its own bin order, so the sums are
+    those of a per-feature cumsum, bit for bit. A block of an odd member
+    count gets one phantom member, its slots empty and ranked above every
+    feature's.
 
     Two blocks keep a split search's cost a function of the feature count.
     A text-SVD column gets about 233 bins where it holds at most 254
@@ -155,40 +163,48 @@ class HistLayout:
     def __init__(self, edge_offsets: np.ndarray):
         widths = np.diff(edge_offsets).astype(np.int64) + 2
         self.offsets = np.empty(widths.size, dtype=np.int64)  # of each bin 0
-        self.blocks: List[Tuple[int, int, int]] = []  # (start, members, width)
+        # (start, stop, (pairs, width)) of each block, in complex slots
+        self.blocks: List[Tuple[int, int, Tuple[int, int]]] = []
         ranks = [np.empty(0, dtype=np.int64)]
         start = 0
         for members in (np.flatnonzero(widths <= _NARROW),
                         np.flatnonzero(widths > _NARROW)):
             if not members.size:
                 continue
-            width = int(widths[members].max())
-            self.offsets[members] = start + np.arange(members.size) * width
-            self.blocks.append((start, members.size, width))
-            ranks.append((members[:, None] * _BINS + np.arange(width)).ravel())
-            start += members.size * width
+            width, pairs = int(widths[members].max()), (members.size + 1) // 2
+            lane = np.arange(members.size)
+            self.offsets[members] = start + lane // 2 * 2 * width + lane % 2
+            # the phantom, if any, is feature n_features + block number
+            paired = np.append(members, widths.size + len(self.blocks))
+            ranks.append((paired[:2 * pairs].reshape(pairs, 1, 2) * _BINS
+                          + np.arange(width)[:, None]).ravel())
+            stop = start + 2 * pairs * width
+            self.blocks.append((start // 2, stop // 2, (pairs, width)))
+            start = stop
         # feature * _BINS + bin of every slot: orders slots feature-major
         self.rank = np.concatenate(ranks)
         self.size = start
 
     def cumsum(self, hist: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Running sums of hist along each feature's bins, into out."""
-        for start, members, width in self.blocks:
-            block = slice(start, start + members * width)
-            np.cumsum(hist[block].reshape(members, width), axis=1,
-                      out=out[block].reshape(members, width))
+        """Running sums of hist along each feature's bins, into out: one
+        accumulate per block over its (pairs x width) complex view."""
+        h, o = hist.view(np.complex128), out.view(np.complex128)
+        for start, stop, shape in self.blocks:
+            np.add.accumulate(h[start:stop].reshape(shape), axis=1,
+                              out=o[start:stop].reshape(shape))
         return out
 
 
 class Slots:
     """Split search's arrays, made once per fit: index, each row's histogram
-    slot per feature (bin + layout offset); scratch to gather a node's slots
-    and gradients into and to compute gains in; and the root's counts and
-    their running sums, the same for every tree."""
+    slot per feature (2 * bin + layout offset); scratch to gather a node's
+    slots and gradients into and to compute gains in; and the root's counts
+    and their running sums, the same for every tree."""
 
     def __init__(self, xb: np.ndarray, layout: HistLayout):
         self.layout = layout
-        self.index = np.add(xb, layout.offsets, dtype=np.intp)
+        self.index = np.multiply(xb, 2, dtype=np.intp)
+        self.index += layout.offsets
         self.gathered = np.empty_like(self.index)
         self.weights = np.empty(self.index.shape)
         self.gain = np.empty((3, layout.size))
@@ -235,8 +251,9 @@ def _best_split(hist: np.ndarray, left_c: np.ndarray, sum_g: float,
                 slots: Slots) -> Optional[Tuple[float, int, int]]:
     """Maximize variance-reduction gain over every (feature, bin) split, the
     bin going left; ties break on lowest feature then lowest bin, from the
-    node's gradient histogram and running counts. The gain is computed in
-    scratch at every slot, so the cost does not depend on how many splits
+    node's gradient histogram and running counts, both in the layout's
+    paired slots. The gain is computed in scratch at every slot, padding
+    and phantom lanes too, so the cost does not depend on how many splits
     are valid; empty bins divide by zero under the caller's np.errstate."""
     gain, right_g, right_c = slots.gain
     slots.layout.cumsum(hist, gain)  # the left gradient sums
@@ -245,7 +262,8 @@ def _best_split(hist: np.ndarray, left_c: np.ndarray, sum_g: float,
     np.divide(np.square(gain, out=gain), left_c, out=gain)
     gain += np.divide(np.square(right_g, out=right_g), right_c, out=right_g)
     gain -= sum_g ** 2 / cnt
-    # a feature's last bin and its padding put every row left: never valid
+    # a feature's last bin and its padding put every row left, a phantom
+    # lane none: never valid
     np.copyto(gain, -np.inf,
               where=np.minimum(left_c, right_c, out=right_c) < min_leaf)
     best = gain.max(initial=-np.inf)  # NaN if any valid gain is NaN
@@ -580,10 +598,19 @@ def fit(features: np.ndarray, targets: np.ndarray,
         raise TooFewSamples(
             f"need >= {2 * config.min_samples_leaf} rows, got {x.shape[0]}")
 
+    lr = config.learning_rate
+    with np.errstate(over="ignore"):  # an infinite mean or loss fails
+        b0 = float(y.mean())
+        loss = float(np.mean((y - b0) ** 2))
+    # the bound before round 1, where only the targets can break it
+    if not (np.isfinite(loss) and _expm1_safe(b0, lr, np.empty(0))):
+        raise Diverged(f"targets out of range: a prediction of their mean "
+                       f"{b0!r} could overflow expm1, or the training loss "
+                       "before round 1 is not finite")
+
     mapper = BinMapper.fit(x, max_bins=config.max_bins)
     xb = mapper.transform(x)
     slots = Slots(xb, HistLayout(mapper.edge_offsets))
-    lr, b0 = config.learning_rate, float(y.mean())
     pred = np.full(y.shape, b0)
     nodes: List[list] = []
     sizes = [0]

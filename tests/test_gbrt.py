@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from naive_oracles import (_naive_best_split, _naive_histograms, feature_edges,
@@ -13,7 +13,7 @@ from naive_oracles import (_naive_best_split, _naive_histograms, feature_edges,
 from slotcast import gbrt
 from slotcast.config import from_dict, to_dict
 from slotcast.errors import (ConfigError, CorruptBundle, DimensionMismatch,
-                             NonFiniteTarget, TooFewSamples)
+                             Diverged, NonFiniteTarget, TooFewSamples)
 from slotcast.gbrt import (BinMapper, Forest, GBRTConfig, HistLayout, Slots,
                            histograms)
 
@@ -199,6 +199,30 @@ def test_too_few_samples():
 def test_non_finite_target():
     with pytest.raises(NonFiniteTarget):
         gbrt.fit(np.zeros((50, 1)), np.full(50, np.nan), small_config())
+
+
+@pytest.mark.parametrize("targets,iterations", [
+    (np.full(50, 800.0), 0), (np.full(50, 800.0), 3),
+    (np.full(50, -800.0), 0), (np.full(50, 1e160), 3),
+    (np.resize([1e160, -1e160], 50), 3)])  # mean 0, loss infinite
+def test_targets_out_of_expm1_range_are_named(targets, iterations):
+    """A target mean whose prediction could overflow expm1, or targets
+    whose loss before round 1 is not finite, are refused before round 1,
+    so no forest that loading refuses is returned, even of no trees, and
+    the error names the targets, not the learning rate."""
+    x = np.linspace(0, 1, 50).reshape(-1, 1)
+    with pytest.raises(Diverged, match="^targets out of range") as err:
+        gbrt.fit(x, targets,
+                 GBRTConfig(iterations=iterations, min_samples_leaf=5))
+    assert "learning_rate" not in str(err.value)
+
+
+def test_forest_of_no_trees_below_the_expm1_bound_loads():
+    x = np.linspace(0, 1, 50).reshape(-1, 1)
+    forest = gbrt.fit(x, np.full(50, 709.0),
+                      GBRTConfig(iterations=0, min_samples_leaf=5))
+    restored = Forest.from_state(*forest.get_state())
+    assert_bit_identical(restored.predict(x), np.full(50, 709.0))
 
 
 def test_predict_dimension_mismatch():
@@ -549,8 +573,10 @@ def node_cases(draw):
 
 
 def in_slots(hist, layout):
-    """A (features x 256) oracle table in the layout's flat slot order."""
-    return np.ascontiguousarray(hist.ravel()[layout.rank])
+    """A (features x 256) oracle table in the layout's flat slot order; a
+    phantom lane, ranked past every feature, reads zero."""
+    flat = np.append(hist.ravel(), np.zeros(1, hist.dtype))
+    return flat[np.minimum(layout.rank, hist.size)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -658,14 +684,57 @@ def test_hist_layout_keeps_narrow_features_apart_from_wide_ones():
     edges = [np.empty(0), np.arange(1.0), np.arange(100.0), np.arange(254.0),
              np.arange(70.0), np.arange(1.0)]
     layout = HistLayout(flat_edges(edges)[1])
-    # widths 2, 3, 102, 256, 72, 3: narrow 2, 3, 3 padded to 3, wide to 256
-    assert layout.blocks == [(0, 3, 3), (9, 3, 256)]
-    assert layout.offsets.tolist() == [0, 3, 9, 265, 521, 6]
-    assert layout.size == 777 == layout.rank.size
+    # widths 2, 3, 102, 256, 72, 3: narrow 2, 3, 3 padded to 3, wide to
+    # 256, each block three members and a phantom in two complex pairs
+    assert layout.blocks == [(0, 6, (2, 3)), (6, 518, (2, 256))]
+    assert layout.offsets.tolist() == [0, 1, 12, 13, 524, 6]
+    assert layout.size == 1036 == layout.rank.size
     # every (feature, bin) has exactly one slot, the rest is padding
     ranks = set(layout.rank.tolist())
     assert all(f * 256 + b in ranks
                for f, e in enumerate(edges) for b in range(len(e) + 2))
+
+
+_EDGE_COUNTS = [0, 1, 14, 15, 100, 254]  # 2, 3, 16 bins narrow; 17.. wide
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_COUNTS), min_size=1, max_size=9),
+       st.integers(0, 2**32 - 1))
+@example([14], 0)             # one narrow member
+@example([254], 0)            # one wide member
+@example([0, 1, 14], 1)       # all narrow, odd
+@example([15, 100, 254, 254], 2)  # all wide, even
+@example([0, 15], 3)          # a single member in each block
+@example([1, 254, 0, 100, 14, 15], 4)  # mixed, odd in each block
+def test_hist_layout_cumsum_equals_per_feature_cumsum(counts, seed):
+    """The paired complex running sums equal np.cumsum along each
+    feature's bins byte for byte, on values of mixed magnitudes and signs
+    that round differently in any other order. Each real (feature, bin)
+    has exactly one slot, a phantom lane ranks above every real slot, and
+    padding and phantom slots hold zero root counts."""
+    rng = np.random.default_rng(seed)
+    layout = HistLayout(flat_edges([np.arange(float(k)) for k in counts])[1])
+    widths = np.array(counts) + 2
+    table = rng.normal(size=(len(counts), 256)) * 10.0 ** rng.integers(
+        -8, 9, size=(len(counts), 256))
+    got = layout.cumsum(in_slots(table, layout), np.empty(layout.size))
+    assert got.tobytes() == in_slots(np.cumsum(table, axis=1),
+                                     layout).tobytes()
+
+    f, b = np.divmod(layout.rank, 256)
+    phantom = f >= len(counts)
+    real, padding = ~phantom, ~phantom
+    real[real] = b[real] < widths[f[real]]
+    padding &= ~real  # a feature's slots past its bins
+    want = [fi * 256 + bi for fi, w in enumerate(widths) for bi in range(w)]
+    assert sorted(layout.rank[real].tolist()) == want
+    assert np.all(layout.rank[phantom] > layout.rank[real].max())
+
+    xb = (rng.random((50, len(counts))) * widths).astype(np.uint8)
+    slots = Slots(xb, layout)
+    assert not slots.root_counts[padding | phantom].any()
+    assert slots.root_counts[real].sum() == xb.size
 
 
 @pytest.mark.parametrize("field,value", [
