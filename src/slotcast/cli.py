@@ -150,11 +150,9 @@ def load_config_file(path) -> Dict[str, str]:
 def _reject_unknown_keys(values: Dict[str, str]) -> None:
     """A key is known when train or synth reads it, so one file serves both."""
     train, workload = predictor.TrainConfig(), synth.WorkloadConfig()
-    sections = {"featurizer": train.featurizer, "gbrt": train.gbrt,
-                "router": train.router, "synth": workload,
-                "oracle": workload.oracle}
-    known = {f"{prefix}.{name}" for prefix, section in sections.items()
-             for name in settings(section)}
+    known = {f"{section.prefix}.{name}" for section in (
+        train.featurizer, train.gbrt, train.router, workload, workload.oracle)
+        for name in settings(section)}
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -164,16 +162,15 @@ def train_config_from_values(values: Dict[str, str]) -> predictor.TrainConfig:
     _reject_unknown_keys(values)
     cfg = predictor.TrainConfig()
     return predictor.TrainConfig(
-        featurizer=with_values(cfg.featurizer, values, "featurizer"),
-        gbrt=with_values(cfg.gbrt, values, "gbrt"),
-        router=with_values(cfg.router, values, "router"))
+        featurizer=with_values(cfg.featurizer, values),
+        gbrt=with_values(cfg.gbrt, values),
+        router=with_values(cfg.router, values))
 
 
 def workload_config_from_values(values: Dict[str, str]) -> synth.WorkloadConfig:
     _reject_unknown_keys(values)
-    cfg = with_values(synth.WorkloadConfig(), values, "synth")
-    return dataclasses.replace(
-        cfg, oracle=with_values(cfg.oracle, values, "oracle"))
+    cfg = with_values(synth.WorkloadConfig(), values)
+    return dataclasses.replace(cfg, oracle=with_values(cfg.oracle, values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Config sections declared once.
 
-Each scalar field of a config dataclass (featurizer, gbrt, router, synth,
-oracle) is declared with ``setting``, which records its kind (that of its
-default) and its bounds. The functions here do the jobs all sections
-share: ``check`` the values, carry a section through a bundle header
-(``to_dict``/``from_dict``) and apply ``key = value`` text to it
-(``with_values``).
+Each config dataclass (featurizer, gbrt, router, synth, oracle) is a
+``Section`` declaring its key prefix, and declares each scalar field with
+``setting``, which records its kind (that of its default) and its bounds.
+The functions here do the jobs all sections share: ``check`` the values,
+carry a section through a bundle header (``to_dict``/``from_dict``) and
+apply ``key = value`` text to it (``with_values``).
 """
 from __future__ import annotations
 
 import dataclasses
 import numbers
 import sys
-from typing import Dict
+from typing import ClassVar, Dict
 
 from .errors import ConfigError
 
@@ -33,7 +33,19 @@ def settings(section) -> Dict[str, dataclasses.Field]:
             if "kind" in f.metadata}
 
 
-def check(section, prefix: str) -> None:
+class Section:
+    """A config dataclass whose keys are ``prefix.<field>``. It is checked
+    when built; ``validate`` checks it again after a field has changed."""
+    prefix: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        check(self)
+
+
+def check(section: Section) -> None:
     """Raise ConfigError naming ``prefix.<field>`` for the first setting
     whose value is not of its kind, not finite or out of its bounds."""
     for name, f in settings(section).items():
@@ -47,7 +59,8 @@ def check(section, prefix: str) -> None:
                 or (le is not None and v > le)):
             want = " and ".join(f"{op} {b}" for op, b in (
                 (">=", ge), (">", gt), ("<=", le)) if b is not None)
-            raise ConfigError(f"{prefix}.{name}: {v!r} is not {what} {want}")
+            raise ConfigError(
+                f"{section.prefix}.{name}: {v!r} is not {what} {want}")
 
 
 def to_dict(section) -> dict:
@@ -67,13 +80,13 @@ def from_dict(cls, values: dict):
     return cls(**values)
 
 
-def with_values(section, values: Dict[str, str], prefix: str):
+def with_values(section: Section, values: Dict[str, str]):
     """A copy of section with each setting that values names as
     ``prefix.<field>`` parsed from its text; the copy is checked when
     built."""
     changes = {}
     for name, f in settings(section).items():
-        key, kind = f"{prefix}.{name}", f.metadata["kind"]
+        key, kind = f"{section.prefix}.{name}", f.metadata["kind"]
         if key in values:
             try:
                 changes[name] = kind(values[key])

@@ -21,7 +21,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from .config import check, from_dict, setting, to_dict
+from .config import Section, from_dict, setting, to_dict
 from .errors import (
     CorruptBundle,
     DegenerateInput,
@@ -378,19 +378,13 @@ OTHER_CATEGORY = "__OTHER__"
 
 
 @dataclass
-class FeaturizerConfig:
+class FeaturizerConfig(Section):
+    prefix = "featurizer"
     min_df: int = setting(2, ge=1)
     max_vocab: int = setting(50_000, ge=1)
     svd_components: int = setting(512, ge=1)
     top_n_categories: int = setting(20, ge=0)
     top_n_asset_type_counts: int = setting(20, ge=0)
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ConfigError naming the first field out of range."""
-        check(self, "featurizer")
 
 
 @dataclass

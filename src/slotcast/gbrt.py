@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import check, from_dict, setting, to_dict
+from .config import Section, from_dict, setting, to_dict
 from .errors import (CorruptBundle, DimensionMismatch, Diverged,
                      NonFiniteTarget, TooFewSamples)
 
@@ -28,7 +28,7 @@ _LOG_MAX = float(np.log(np.finfo(np.float64).max))  # about 709.78
 
 
 @dataclass
-class GBRTConfig:
+class GBRTConfig(Section):
     """Bins must fit the uint8 bin matrix and its histograms (max_bins <=
     256), a leaf needs a row and a tree room for one split but at most
     MAX_LEAVES leaves (Forest numbers them as the bits of one word), and
@@ -38,18 +38,12 @@ class GBRTConfig:
     The defaults are scikit-learn's HistGradientBoostingRegressor defaults
     (max_iter=100, learning_rate=0.1, max_leaf_nodes=31,
     min_samples_leaf=20, max_bins=255), the estimator the paper names."""
+    prefix = "gbrt"
     learning_rate: float = setting(0.1, gt=0)
     iterations: int = setting(100, ge=0, le=MAX_ITERATIONS)
     max_leaves: int = setting(31, ge=2, le=MAX_LEAVES)
     min_samples_leaf: int = setting(20, ge=1)
     max_bins: int = setting(255, ge=2, le=_BINS)
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ConfigError naming the first field out of range."""
-        check(self, "gbrt")
 
 
 class BinMapper:
@@ -628,9 +622,9 @@ def fit(features: np.ndarray, targets: np.ndarray,
         # last round's check is the one Forest.from_state makes
         peaks[m] = np.abs(out).max()
         if not (np.isfinite(losses[m]) and _expm1_safe(b0, lr, peaks[:m + 1])):
-            raise Diverged(f"gbrt.learning_rate = {lr!r} diverges: after "
-                           f"round {m + 1} the training loss is not finite "
-                           "or a prediction could overflow expm1")
+            raise Diverged(f"{config.prefix}.learning_rate = {lr!r} diverges: "
+                           f"after round {m + 1} the training loss is not "
+                           "finite or a prediction could overflow expm1")
     feature, threshold, left, right, value = (
         np.array(c, dtype=d) for c, d in zip(
             list(zip(*nodes)) or [()] * 5,

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gbrt
-from .config import check, from_dict, setting, to_dict
+from .config import Section, from_dict, setting, to_dict
 from .errors import (
     BundleVersionMismatch,
     CorruptBundle,
@@ -82,12 +82,10 @@ def inverse_target(z):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Router:
+class Router(Section):
+    prefix = "router"
     threshold: int = setting(26, ge=0)
     min_subset: int = setting(50, ge=0)
-
-    def __post_init__(self) -> None:
-        check(self, "router")
 
     def route(self, score: int) -> str:
         return ROUTE_SIMPLE if score < self.threshold else ROUTE_COMPLEX

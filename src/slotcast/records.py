@@ -1,7 +1,7 @@
 """Ingested query records (the JSONL wire schema) shared across modules."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
 
 from .errors import MalformedRecord
@@ -47,27 +47,34 @@ def _counts(name: str, v):
     return {k: _count(f"{name}[{k!r}]", c) for k, c in v.items()}
 
 
+def _wire(check, **default):
+    """A record field whose JSONL value passes check(name, value)."""
+    return field(metadata={"check": check}, **default)
+
+
 @dataclass
 class QueryRecord:
-    query_text: str
-    project_id: str = ""
-    dataset_id: str = ""
-    region: str = ""
-    asset_type: str = ""
-    cache_hit: bool = False
-    total_bytes_processed: Optional[int] = None
-    total_bytes_billed: Optional[int] = None
-    account_count: Optional[int] = None
-    resource_count: Optional[int] = None
-    accounts_aws: Optional[int] = None
-    accounts_gcp: Optional[int] = None
-    accounts_azure: Optional[int] = None
-    asset_type_counts: Dict[str, int] = field(default_factory=dict)
-    creation_time: str = ""
-    environment: str = ""
-    total_slot_ms: Optional[float] = None
-    elapsed_ms: Optional[float] = None
-    timed_out: bool = False
+    """One query's JSONL record. Each field names the check its value must
+    pass, and ``from_json_dict`` runs them in field order."""
+    query_text: str = _wire(_text)
+    project_id: str = _wire(_text, default="")
+    dataset_id: str = _wire(_text, default="")
+    region: str = _wire(_text, default="")
+    asset_type: str = _wire(_text, default="")
+    cache_hit: bool = _wire(_flag, default=False)
+    total_bytes_processed: Optional[int] = _wire(_count, default=None)
+    total_bytes_billed: Optional[int] = _wire(_count, default=None)
+    account_count: Optional[int] = _wire(_count, default=None)
+    resource_count: Optional[int] = _wire(_count, default=None)
+    accounts_aws: Optional[int] = _wire(_count, default=None)
+    accounts_gcp: Optional[int] = _wire(_count, default=None)
+    accounts_azure: Optional[int] = _wire(_count, default=None)
+    asset_type_counts: Dict[str, int] = _wire(_counts, default_factory=dict)
+    creation_time: str = _wire(_text, default="")
+    environment: str = _wire(_text, default="")
+    total_slot_ms: Optional[float] = _wire(_millis, default=None)
+    elapsed_ms: Optional[float] = _wire(_millis, default=None)
+    timed_out: bool = _wire(_flag, default=False)
 
     @property
     def slot_min(self) -> float:
@@ -95,19 +102,10 @@ class QueryRecord:
                 f"expected a JSON object, got {type(d).__name__}")
         if "query_text" not in d:
             raise MalformedRecord("missing query_text")
-        kwargs = {k: check(k, d[k]) for k, check in _CHECKS.items()
+        kwargs = {k: check(k, d[k]) for k, check in _CHECKS
                   if d.get(k) is not None}
         kwargs.setdefault("query_text", "")
         return cls(**kwargs)
 
 
-_CHECKS = {
-    "query_text": _text, "project_id": _text, "dataset_id": _text,
-    "region": _text, "asset_type": _text, "creation_time": _text,
-    "environment": _text, "cache_hit": _flag, "timed_out": _flag,
-    "total_bytes_processed": _count, "total_bytes_billed": _count,
-    "account_count": _count, "resource_count": _count,
-    "accounts_aws": _count, "accounts_gcp": _count, "accounts_azure": _count,
-    "asset_type_counts": _counts, "total_slot_ms": _millis,
-    "elapsed_ms": _millis,
-}
+_CHECKS = tuple((f.name, f.metadata["check"]) for f in fields(QueryRecord))

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import check, setting
+from .config import Section, setting
 from .errors import ConfigError, OverlappingEnvironments
 from .records import INT64_MAX, QueryRecord
 from .sql_analyzer import OPERATOR_KINDS, weighted_score
@@ -50,14 +50,12 @@ def default_profiles() -> List[EnvironmentProfile]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OracleCostModel:
+class OracleCostModel(Section):
+    prefix = "oracle"
     base: float = setting(0.05, ge=0)
     volume_exponent: float = setting(0.8, ge=0)
     complexity_slope: float = setting(0.02, ge=0)
     cache_multiplier: float = setting(1e-4, ge=0)
-
-    def __post_init__(self) -> None:
-        check(self, "oracle")
 
     def slot_minutes(self, bytes_processed: float, score: int,
                      cache_hit: bool, noise: float = 0.0) -> float:
@@ -94,24 +92,52 @@ class OperatorPlan:
     merge: int = 0
 
 
+# Clauses emitted once per unit of a plan field, one table per script part:
+# (plan field, template, kinds each adds). A template reads {j}, the unit's
+# 0-based index, and {j1}..{j3} for j+1..j+3.
+_UDFS = (("sql_udf", "CREATE TEMP FUNCTION SQLFN{j}(X INT64) AS (X + {j1})",
+          ("sql_udf",)),
+         ("js_udf", "CREATE TEMP FUNCTION JSFN{j}(X FLOAT64) RETURNS FLOAT64 "
+          'LANGUAGE js AS "return x + {j1};"', ("js_udf",)))
+_SELECT = (("window", "SUM(T0.M{j}) OVER (PARTITION BY T0.KEY)", ("window",)),)
+_FROM = (("unnest", ", UNNEST(T0.ITEMS{j}) IT{j}", ("unnest",)),
+         ("join", " JOIN `proj.ds.t{j1}` T{j1} ON T0.KEY = T{j1}.KEY",
+          ("join",)),
+         ("cross_join", " CROSS JOIN `proj.ds.x{j}` X{j}", ("cross_join",)))
+_WHERE = (("regex_function", " AND REGEXP_CONTAINS(T0.NAME{j}, 'pat{j}')",
+           ("regex_function",)),
+          ("extra_subselect", " AND T0.KEY IN (SELECT KEY FROM "
+           "`proj.ds.f{j}`)", ("subselect",)))
+_STATEMENTS = (("update", "UPDATE `proj.ds.u{j}` SET A = {j2} WHERE B = {j3}",
+                ("update",)),
+               ("insert", "INSERT INTO `proj.ds.i{j}` (A) SELECT A FROM "
+                "`proj.ds.ia{j}`", ("insert",)),
+               ("merge", "MERGE `proj.ds.m{j}` M USING `proj.ds.ms{j}` S "
+                "ON M.ID = S.ID WHEN MATCHED THEN UPDATE SET M.A = S.A",
+                ("merge", "update")))
+
+
+def _emit(table, plan: OperatorPlan, counts: dict, out: list) -> None:
+    """Append each row's template to out once per unit of its plan field,
+    counting the kinds it adds."""
+    for name, template, kinds in table:
+        for j in range(getattr(plan, name)):
+            out.append(template.format(j=j, j1=j + 1, j2=j + 2, j3=j + 3))
+            for kind in kinds:
+                counts[kind] += 1
+
+
 def render_query(plan: OperatorPlan) -> Tuple[str, Dict[str, int]]:
     """Emit SQL realizing the plan; returns (sql, intended operator counts).
 
-    The counts dict reflects exactly what the lexical analyzer should see,
-    including incidental occurrences (each CTE body is a subselect, each
-    MERGE carries an UPDATE clause).
+    Clauses repeated once per unit of a plan field come from one table per
+    script part. The counts dict reflects exactly what the lexical analyzer
+    should see, including incidental occurrences (each CTE body is a
+    subselect, each MERGE carries an UPDATE clause).
     """
     counts = {k: 0 for k in OPERATOR_KINDS}
     parts: List[str] = []
-
-    for i in range(plan.sql_udf):
-        parts.append(f"CREATE TEMP FUNCTION SQLFN{i}(X INT64) AS (X + {i + 1})")
-        counts["sql_udf"] += 1
-    for i in range(plan.js_udf):
-        parts.append(
-            f'CREATE TEMP FUNCTION JSFN{i}(X FLOAT64) RETURNS FLOAT64 '
-            f'LANGUAGE js AS "return x + {i + 1};"')
-        counts["js_udf"] += 1
+    _emit(_UDFS, plan, counts, parts)
 
     main: List[str] = []
     groups_left = plan.group_by
@@ -130,19 +156,12 @@ def render_query(plan: OperatorPlan) -> Tuple[str, Dict[str, int]]:
             counts["subselect"] += 1
         main.append("WITH " + ", ".join(bodies))
 
-    select_items = ["T0.KEY"]
-    distinct_left = plan.distinct
-    head = "SELECT"
-    if distinct_left:
-        head = "SELECT DISTINCT"
-        counts["distinct"] += 1
-        distinct_left -= 1
-    for j in range(distinct_left):
-        select_items.append(f"COUNT(DISTINCT T0.COL{j})")
-        counts["distinct"] += 1
-    for j in range(plan.window):
-        select_items.append(f"SUM(T0.M{j}) OVER (PARTITION BY T0.KEY)")
-        counts["window"] += 1
+    # the first DISTINCT heads the SELECT, the rest count distinct columns
+    head = "SELECT DISTINCT" if plan.distinct else "SELECT"
+    select_items = ["T0.KEY"] + [f"COUNT(DISTINCT T0.COL{j})"
+                                 for j in range(plan.distinct - 1)]
+    counts["distinct"] += plan.distinct
+    _emit(_SELECT, plan, counts, select_items)
     for j in range(plan.array_struct):
         if j % 2 == 0:
             select_items.append(f"STRUCT(T0.A{j}, T0.B{j}) AS S{j}")
@@ -152,25 +171,11 @@ def render_query(plan: OperatorPlan) -> Tuple[str, Dict[str, int]]:
     main.append(f"{head} {', '.join(select_items)}")
 
     from_parts = ["FROM `proj.ds.t0` T0"]
-    for j in range(plan.unnest):
-        from_parts.append(f", UNNEST(T0.ITEMS{j}) IT{j}")
-        counts["unnest"] += 1
-    for j in range(plan.join):
-        from_parts.append(f" JOIN `proj.ds.t{j + 1}` T{j + 1} "
-                          f"ON T0.KEY = T{j + 1}.KEY")
-        counts["join"] += 1
-    for j in range(plan.cross_join):
-        from_parts.append(f" CROSS JOIN `proj.ds.x{j}` X{j}")
-        counts["cross_join"] += 1
+    _emit(_FROM, plan, counts, from_parts)
     main.append("".join(from_parts))
 
     where_parts = ["WHERE T0.FLAG = 1"]
-    for j in range(plan.regex_function):
-        where_parts.append(f" AND REGEXP_CONTAINS(T0.NAME{j}, 'pat{j}')")
-        counts["regex_function"] += 1
-    for j in range(plan.extra_subselect):
-        where_parts.append(f" AND T0.KEY IN (SELECT KEY FROM `proj.ds.f{j}`)")
-        counts["subselect"] += 1
+    _emit(_WHERE, plan, counts, where_parts)
     if plan.sql_udf:
         where_parts.append(" AND SQLFN0(T0.N) > 2")
     main.append("".join(where_parts))
@@ -196,23 +201,8 @@ def render_query(plan: OperatorPlan) -> Tuple[str, Dict[str, int]]:
         parts.append(f"SELECT COL FROM `proj.ds.o{j}` ORDER BY COL")
         counts["order_by"] += 1
 
-    for j in range(plan.update):
-        parts.append(f"UPDATE `proj.ds.u{j}` SET A = {j + 2} WHERE B = {j + 3}")
-        counts["update"] += 1
-    for j in range(plan.insert):
-        parts.append(f"INSERT INTO `proj.ds.i{j}` (A) SELECT A FROM `proj.ds.ia{j}`")
-        counts["insert"] += 1
-    for j in range(plan.merge):
-        parts.append(f"MERGE `proj.ds.m{j}` M USING `proj.ds.ms{j}` S "
-                     f"ON M.ID = S.ID WHEN MATCHED THEN UPDATE SET M.A = S.A")
-        counts["merge"] += 1
-        counts["update"] += 1
-
+    _emit(_STATEMENTS, plan, counts, parts)
     return " ; ".join(parts), counts
-
-
-def plan_score(counts: Dict[str, int]) -> int:
-    return weighted_score(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +210,8 @@ def plan_score(counts: Dict[str, int]) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class WorkloadConfig:
+class WorkloadConfig(Section):
+    prefix = "synth"
     n_queries: int = setting(1000, ge=0)
     profiles: List[EnvironmentProfile] = field(default_factory=default_profiles)
     trivial_fraction: float = setting(0.62, ge=0, le=1)
@@ -230,19 +221,16 @@ class WorkloadConfig:
     seed: int = setting(0, ge=0)
     oracle: OracleCostModel = field(default_factory=OracleCostModel)
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         """Raise ConfigError on a setting out of range, trivial and
         long-tail fractions above 1 together, or no environment profile."""
-        check(self, "synth")
+        super().validate()
         if self.trivial_fraction + self.long_tail_fraction > 1:
-            raise ConfigError("synth.trivial_fraction + "
-                              "synth.long_tail_fraction exceed 1")
+            raise ConfigError(f"{self.prefix}.trivial_fraction + "
+                              f"{self.prefix}.long_tail_fraction exceed 1")
         if not self.profiles:
-            raise ConfigError("synth: at least one environment profile "
-                              "required")
+            raise ConfigError(f"{self.prefix}: at least one environment "
+                              "profile required")
 
 
 _ASSET_TYPES = ("vm", "bucket", "db", "lb", "container", "function")
@@ -313,7 +301,7 @@ def generate(config: WorkloadConfig) -> List[QueryRecord]:
         bytes_processed *= env.bytes_scale
 
         sql, counts = render_query(plan)
-        score = plan_score(counts)
+        score = weighted_score(counts)
         noise = float(rng.normal(0.0, config.noise_sigma))
         try:
             slot_min = config.oracle.slot_minutes(bytes_processed, score,

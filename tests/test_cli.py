@@ -171,7 +171,8 @@ def test_bad_records_counted_as_malformed(tmp_path):
 
 
 def test_record_checks_cover_every_field():
-    assert set(_CHECKS) == set(QueryRecord.__dataclass_fields__)
+    assert {name for name, _ in _CHECKS} == set(
+        QueryRecord.__dataclass_fields__)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +354,11 @@ def _past_each_bound():
 def test_setting_past_its_bound_is_usage_error(tmp_path, capsys, command,
                                                line):
     assert_config_rejected(tmp_path, capsys, line, command)
+
+
+def test_each_section_declares_its_documented_prefix():
+    for prefix, (_, cls) in CONFIG_SECTIONS.items():
+        assert cls.prefix == prefix
 
 
 @pytest.mark.parametrize("cls", [c for _, c in CONFIG_SECTIONS.values()])

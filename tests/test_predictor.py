@@ -421,21 +421,33 @@ print(json.dumps([hashlib.sha256(data[16 + header_len:-32]).hexdigest(),
 """
 
 
+def _train_in_subprocess(**env):
+    """[hash of the bundle arrays, svd_single_thread] of BLAS_THREADS_SCRIPT
+    run in a fresh interpreter with env added to the environment."""
+    src = Path(predictor.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+        capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_bundle_arrays_do_not_depend_on_blas_threads():
     """The same records train the same bundle arrays with one OpenBLAS
     thread and with two. The corpus's 253 x 253 Gram matrix is one whose
     unpinned eigenvectors differ in their last bits between the two."""
-    src = Path(predictor.__file__).resolve().parents[1]
-    runs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(src),
-               "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run(
-            [sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
-            capture_output=True, text=True, check=True)
-        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    runs = [_train_in_subprocess(OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")]
     if not runs[0][1]:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+    assert runs[0] == runs[1]
+
+
+def test_bundle_arrays_do_not_depend_on_hash_seed():
+    """fit_text, the category maps and the top-N rule iterate string-keyed
+    sets and dicts, whose order follows the string hash seed; the bundle
+    arrays must not."""
+    runs = [_train_in_subprocess(PYTHONHASHSEED=seed) for seed in ("0", "1")]
     assert runs[0] == runs[1]
 
 

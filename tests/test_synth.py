@@ -1,17 +1,20 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from slotcast.errors import ConfigError, OverlappingEnvironments
-from slotcast.sql_analyzer import analyze_sql
+from slotcast.sql_analyzer import analyze_sql, weighted_score
 from slotcast.synth import (
     OperatorPlan,
     OracleCostModel,
     WorkloadConfig,
+    _plan_for,
     default_profiles,
     generate,
-    plan_score,
     render_query,
     split_by_environment,
 )
@@ -65,7 +68,38 @@ def test_render_round_trip_exact():
         sql, intended = render_query(plan)
         rep = analyze_sql(sql)
         assert rep.counts == intended
-        assert rep.score == plan_score(intended)
+        assert rep.score == weighted_score(intended)
+
+
+def _pinned_plans():
+    """Each plan field alone at 1-3, 2,000 seeded draws per workload kind,
+    and the cases where one clause changes how another is rendered."""
+    for f in dataclasses.fields(OperatorPlan):
+        for n in (1, 2, 3):
+            yield OperatorPlan(**{f.name: n})
+    rng = np.random.default_rng(17)
+    for kind in ("trivial", "light", "heavy"):
+        for _ in range(2000):
+            yield _plan_for(rng, kind)
+    for g in (0, 1, 4):  # CTE bodies borrow GROUP BYs, leaving the main one
+        yield OperatorPlan(cte=3, group_by=g)
+    for n in range(4):
+        yield OperatorPlan(distinct=n)
+        yield OperatorPlan(array_struct=n)
+    for g in (0, 1):  # HAVING only follows the main GROUP BY
+        yield OperatorPlan(having=1, group_by=g)
+    yield OperatorPlan(order_by=3)
+    yield OperatorPlan(sql_udf=2, js_udf=1)
+
+
+def test_render_bytes_pinned():
+    """SHA-256 of render_query's SQL and counts over a fixed plan set."""
+    digest = hashlib.sha256()
+    for plan in _pinned_plans():
+        sql, counts = render_query(plan)
+        digest.update(f"{sql}\n{json.dumps(counts)}\n".encode())
+    assert digest.hexdigest() == (
+        "50c6705b5e5d595a12f35133186fcc4402db5bdc37b5769a6d285e76002bd523")
 
 
 def test_workload_queries_score_consistently():
