@@ -28,11 +28,8 @@ def main():
     results = predict_many(bundle, test_records)
     actual = np.array([r.slot_min for r in test_records])
     predicted = np.array([r.slot_min for r in results])
-    base = evaluator.Baselines(
-        mean_value=bundle.metadata["train_target_mean"],
-        median_value=bundle.metadata["train_target_median"],
-        source=evaluator.BASELINE_TRAIN)
-    report = evaluator.tiered_eval(actual, predicted, base=base)
+    report = evaluator.tiered_eval(actual, predicted,
+                                   base=bundle.train_baselines)
     sys.stdout.write("\n" + evaluator.emit_report(report, "text").decode())
 
 

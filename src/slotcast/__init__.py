@@ -32,11 +32,9 @@ from .predictor import (
     transform_target,
 )
 from .evaluator import (
+    TIERS,
     EvalReport,
     MetricSet,
-    TierSpec,
-    baselines,
-    default_tiers,
     emit_report,
     metrics,
     tiered_eval,

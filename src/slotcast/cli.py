@@ -39,6 +39,7 @@ from .sql_analyzer import (
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
 EXIT_VERSION = 65
@@ -256,14 +257,9 @@ def _cmd_evaluate(args) -> int:
     actual = np.array([r.slot_min for r in records])
     results = predictor.predict_many(bundle, records)
     predicted = np.array([r.slot_min for r in results])
-    if args.baseline_mode == evaluator.BASELINE_TRAIN:
-        # constants recorded at train time travel inside the bundle
-        base = evaluator.Baselines(
-            mean_value=bundle.metadata["train_target_mean"],
-            median_value=bundle.metadata["train_target_median"],
-            source=evaluator.BASELINE_TRAIN)
-    else:
-        base = evaluator.baselines(actual, evaluator.BASELINE_TEST)
+    # without a base, tiered_eval derives the baselines from actual
+    base = (bundle.train_baselines
+            if args.baseline_mode == evaluator.BASELINE_TRAIN else None)
     report = evaluator.tiered_eval(actual, predicted, base=base)
     outdir = Path(args.report_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
     except SlotcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

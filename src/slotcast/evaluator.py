@@ -1,14 +1,17 @@
 """Metric suite and tiered evaluation against constant baselines.
 
-All metrics are computed in original slot-minute scale. Degenerate
-quantities (zero actual variance, empty tiers) are carried as explicit
-``None`` markers, never NaN.
+``tiered_eval`` scores predictions on each tier of ``TIERS`` against
+predict-mean and predict-median baselines: train-derived ones from
+``ModelBundle.train_baselines``, or by default test-derived ones from the
+actuals themselves. All metrics are computed in original slot-minute scale.
+Degenerate quantities (zero actual variance, empty tiers) are carried as
+explicit ``None`` markers, never NaN.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -26,23 +29,9 @@ class MetricSet:
     variance_ratio: Optional[float]
 
 
-@dataclass(frozen=True)
-class TierSpec:
-    name: str
-    min_actual: Optional[float] = None  # None: tier covers everything
-
-    def mask(self, actual: np.ndarray) -> np.ndarray:
-        if self.min_actual is None:
-            return np.ones(actual.shape, dtype=bool)
-        return actual >= self.min_actual
-
-
-def default_tiers() -> List[TierSpec]:
-    return [
-        TierSpec("full", None),
-        TierSpec("cost-significant", 0.01),
-        TierSpec("long-tail", 20.0),
-    ]
+# The paper's tiers: (name, least actual slot-minutes in the tier); the
+# full tier has no floor.
+TIERS = (("full", None), ("cost-significant", 0.01), ("long-tail", 20.0))
 
 
 @dataclass(frozen=True)
@@ -67,8 +56,8 @@ class TierResult:
 class EvalReport:
     tiers: List[TierResult]
     baseline_source: str
-    actual: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-    predicted: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
+    actual: np.ndarray = field(repr=False)
+    predicted: np.ndarray = field(repr=False)
 
 
 def _check(actual: np.ndarray, predicted: np.ndarray) -> None:
@@ -103,18 +92,6 @@ def metrics(actual: Sequence[float], predicted: Sequence[float]) -> MetricSet:
                      variance_ratio=ratio)
 
 
-def baselines(values: Sequence[float], source: str) -> Baselines:
-    """Constant predict-mean / predict-median baselines of values, labelled
-    with the source they came from (BASELINE_TRAIN or BASELINE_TEST)."""
-    if source not in (BASELINE_TRAIN, BASELINE_TEST):
-        raise ValueError(f"unknown baseline source {source!r}")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInput(f"{source} baseline source vector is empty")
-    return Baselines(mean_value=float(arr.mean()),
-                     median_value=float(np.median(arr)), source=source)
-
-
 def _reduction(baseline_mae: float, model_mae: float) -> Optional[float]:
     if baseline_mae == 0.0:
         return None
@@ -122,30 +99,28 @@ def _reduction(baseline_mae: float, model_mae: float) -> Optional[float]:
 
 
 def tiered_eval(actual: Sequence[float], predicted: Sequence[float],
-                tiers: Optional[List[TierSpec]] = None,
                 base: Optional[Baselines] = None) -> EvalReport:
+    """Model and constant-baseline metrics on each of TIERS. Without base,
+    the baselines are the mean and median of actual (test-derived)."""
     a = np.asarray(actual, dtype=np.float64)
     p = np.asarray(predicted, dtype=np.float64)
     _check(a, p)
-    tiers = tiers if tiers is not None else default_tiers()
-    if not tiers:
-        raise ValueError("at least one tier required")
     if base is None:
-        base = baselines(a, BASELINE_TEST)
+        base = Baselines(mean_value=float(a.mean()),
+                         median_value=float(np.median(a)), source=BASELINE_TEST)
     results: List[TierResult] = []
-    for tier in tiers:
-        mask = tier.mask(a)
+    for name, floor in TIERS:
+        mask = np.ones(a.shape, dtype=bool) if floor is None else a >= floor
         n = int(mask.sum())
         if n == 0:
-            results.append(TierResult(tier.name, 0, None, None, None,
-                                      None, None))
+            results.append(TierResult(name, 0, None, None, None, None, None))
             continue
         ta, tp = a[mask], p[mask]
         model = metrics(ta, tp)
         bm = metrics(ta, np.full(n, base.mean_value))
         bmed = metrics(ta, np.full(n, base.median_value))
         results.append(TierResult(
-            name=tier.name, n=n, model=model, baseline_mean=bm,
+            name=name, n=n, model=model, baseline_mean=bm,
             baseline_median=bmed,
             mae_reduction_vs_mean=_reduction(bm.mae, model.mae),
             mae_reduction_vs_median=_reduction(bmed.mae, model.mae)))

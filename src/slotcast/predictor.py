@@ -26,6 +26,7 @@ from .errors import (
     NegativeTarget,
     TooFewSamples,
 )
+from .evaluator import BASELINE_TRAIN, Baselines
 from .featurizer import Featurizer, FeaturizerConfig
 from .gbrt import Forest, GBRTConfig
 from .records import QueryRecord
@@ -125,6 +126,14 @@ class ModelBundle:
         """The routes, in routing order, that the unified forest scores."""
         return [r for r in (ROUTE_SIMPLE, ROUTE_COMPLEX)
                 if r not in self.forests]
+
+    @property
+    def train_baselines(self) -> Baselines:
+        """The predict-mean and predict-median constants of the training
+        targets, recorded at train time."""
+        return Baselines(mean_value=self.metadata["train_target_mean"],
+                         median_value=self.metadata["train_target_median"],
+                         source=BASELINE_TRAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +237,8 @@ def predict_many(bundle: ModelBundle,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def serialize_bundle(bundle: ModelBundle) -> bytes:
+def _bundle_state(bundle: ModelBundle) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """The bundle's header, less its array specs, and its named arrays."""
     fz_meta, fz_arrays = bundle.featurizer.get_state()
     arrays: Dict[str, np.ndarray] = {f"fz.{k}": v for k, v in fz_arrays.items()}
     forest_meta = {}
@@ -236,26 +246,27 @@ def serialize_bundle(bundle: ModelBundle) -> bytes:
         meta, f_arrays = forest.get_state()
         forest_meta[route] = meta
         arrays.update({f"forest.{route}.{k}": v for k, v in f_arrays.items()})
-
-    ordered = sorted(arrays)
     header = {
         "router": to_dict(bundle.router),
         "metadata": bundle.metadata,
         "featurizer": fz_meta,
         "forests": forest_meta,
-        "arrays": [{"name": k,
-                    "dtype": arrays[k].dtype.str,
-                    "shape": list(arrays[k].shape)} for k in ordered],
     }
+    return header, arrays
+
+
+def serialize_bundle(bundle: ModelBundle) -> bytes:
+    header, arrays = _bundle_state(bundle)
+    # the header declares the dtype of the little-endian bytes written
+    arrays = {k: np.ascontiguousarray(v, dtype=v.dtype.newbyteorder("<"))
+              for k, v in sorted(arrays.items())}
+    header["arrays"] = [{"name": k, "dtype": a.dtype.str,
+                         "shape": list(a.shape)} for k, a in arrays.items()]
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
     parts = [_MAGIC, struct.pack("<I", FORMAT_VERSION),
              struct.pack("<Q", len(header_bytes)), header_bytes]
-    for k in ordered:
-        a = np.ascontiguousarray(arrays[k])
-        if a.dtype.byteorder == ">":
-            a = a.astype(a.dtype.newbyteorder("<"))
-        parts.append(a.tobytes())
+    parts.extend(a.tobytes() for a in arrays.values())
     body = b"".join(parts)
     return body + hashlib.sha256(body).digest()
 
@@ -300,6 +311,8 @@ def _bundle_from_header(header: dict, payload: memoryview) -> ModelBundle:
     offset = 0
     arrays: Dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
+        if spec["name"] in arrays:
+            raise CorruptBundle(f"array {spec['name']} is declared twice")
         dtype = np.dtype(spec["dtype"])
         count = int(np.prod(spec["shape"])) if spec["shape"] else 1
         nbytes = dtype.itemsize * count
@@ -309,6 +322,9 @@ def _bundle_from_header(header: dict, payload: memoryview) -> ModelBundle:
         arrays[spec["name"]] = np.frombuffer(
             chunk, dtype=dtype).reshape(spec["shape"]).copy()
         offset += nbytes
+    if offset != len(payload):
+        raise CorruptBundle(f"{len(payload) - offset} bytes follow the last "
+                            "array")
 
     metadata = header["metadata"]
     for key in ("train_target_mean", "train_target_median"):
@@ -336,9 +352,14 @@ def _bundle_from_header(header: dict, payload: memoryview) -> ModelBundle:
         if forests[route].n_features != len(featurizer.column_names):
             raise CorruptBundle(f"forest {route} and featurizer disagree on "
                                 "the feature width")
-    return ModelBundle(featurizer=featurizer,
-                       router=from_dict(Router, header["router"]),
-                       forests=forests, metadata=metadata)
+    bundle = ModelBundle(featurizer=featurizer,
+                         router=from_dict(Router, header["router"]),
+                         forests=forests, metadata=metadata)
+    unread = set(arrays) - set(_bundle_state(bundle)[1])
+    if unread:
+        raise CorruptBundle(f"no component reads array(s) "
+                            f"{', '.join(sorted(unread))}")
+    return bundle
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

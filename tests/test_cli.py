@@ -564,6 +564,29 @@ def test_evaluate_test_derived_baseline(trained, tmp_path):
     assert doc["baseline_source"] == "test-derived"
 
 
+@pytest.mark.parametrize("mode,digest", [
+    ("train-derived",
+     "5c0a2b9248d8bafb2fcee7aa334b526a730aa30d6a14762621944d21456c2d56"),
+    ("test-derived",
+     "787747b8032ce697a9c17b633cca44fcba3f789bf98cfdd45336d020e162dfab"),
+])
+def test_evaluate_output_pinned(trained, tmp_path, capsys, mode, digest):
+    """SHA-256 of evaluate's report.txt, report.json, plotdata.csv and
+    stdout, in that order, for the fixture bundle scored on its own
+    400-query training workload."""
+    _, data, bundle = trained
+    outdir = tmp_path / "reports"
+    capsys.readouterr()
+    assert main(["evaluate", "--bundle", str(bundle), "--input", str(data),
+                 "--report-dir", str(outdir),
+                 "--baseline-mode", mode]) == EXIT_OK
+    sha = hashlib.sha256()
+    for name in ("report.txt", "report.json", "plotdata.csv"):
+        sha.update((outdir / name).read_bytes())
+    sha.update(capsys.readouterr().out.encode("utf-8"))
+    assert sha.hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -600,13 +623,15 @@ def test_non_utf8_text_file_is_io_error(trained, tmp_path, capsys, command):
 
 def resigned_header(data: bytes, edit) -> bytes:
     """The bundle with its JSON header edited and the SHA-256 trailer
-    recomputed, so only the header checks can catch the edit."""
+    recomputed, so only the header checks can catch the edit. Bytes the
+    edit returns are appended to the array payload."""
     header_len = int.from_bytes(data[8:16], "little")
     header = json.loads(data[16:16 + header_len])
-    edit(header)
+    tail = edit(header)
     text = json.dumps(header).encode("utf-8")
     body = (data[:8] + len(text).to_bytes(8, "little") + text
-            + data[16 + header_len:-32])
+            + data[16 + header_len:-32]
+            + (tail if isinstance(tail, bytes) else b""))
     return body + hashlib.sha256(body).digest()
 
 
@@ -628,6 +653,23 @@ def _asset_key(index, key):
     def edit(header):
         keys = header["featurizer"]["asset_count_keys"]
         keys[index] = key(keys)
+    return edit
+
+
+def _appended_array(name, dtype="<f8", shape=(1,)):
+    """Declare one more array, after the last, with zero bytes for it."""
+    def edit(header):
+        header["arrays"].append({"name": name, "dtype": dtype,
+                                 "shape": list(shape)})
+        return bytes(np.dtype(dtype).itemsize * int(np.prod(shape)))
+    return edit
+
+
+def _declared_twice(name):
+    """Declare a named array again, after the last, with zero bytes."""
+    def edit(header):
+        spec, = (s for s in header["arrays"] if s["name"] == name)
+        return _appended_array(name, spec["dtype"], spec["shape"])(header)
     return edit
 
 
@@ -681,6 +723,9 @@ def _forest_config(field, value):
     lambda h: next(iter(h["forests"].values())).update(b0="0.5"),
     lambda h: h["featurizer"]["impute_medians"].update(account_count=True),
     lambda h: h["featurizer"]["impute_medians"].update(account_count="2.0"),
+    lambda h: bytes(8),
+    _declared_twice("fz.num_mean"),
+    _appended_array("fz.unread"),
 ], ids=["no-router", "no-metadata", "no-featurizer",
         "no-forests", "no-arrays", "router-extra-key", "router-missing-key",
         "router-threshold-string",
@@ -705,7 +750,8 @@ def _forest_config(field, value):
         "metadata-train_target_mean-negative",
         "metadata-train_target_median-negative", "forest-b0-beyond-float",
         "forest-b0-bool", "forest-b0-string", "impute_medians-bool",
-        "impute_medians-string"])
+        "impute_medians-string", "payload-trailing-bytes",
+        "array-declared-twice", "array-no-component-reads"])
 def test_resigned_malformed_header_is_io_error(trained, tmp_path, capsys, edit):
     _, data, bundle = trained
     bad = tmp_path / "bad.sltb"

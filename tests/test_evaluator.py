@@ -7,10 +7,8 @@ from slotcast.errors import EmptyInput, LengthMismatch
 from slotcast.evaluator import (
     BASELINE_TEST,
     BASELINE_TRAIN,
+    TIERS,
     Baselines,
-    TierSpec,
-    baselines,
-    default_tiers,
     emit_report,
     metrics,
     tiered_eval,
@@ -99,27 +97,29 @@ def test_scale_equivariance():
 # ---------------------------------------------------------------------------
 
 def test_baseline_modes():
-    b = baselines([1.0, 2.0, 3.0], BASELINE_TRAIN)
-    assert b.mean_value == 2.0 and b.median_value == 2.0
-    assert b.source == BASELINE_TRAIN
-    b = baselines([10.0, 20.0], BASELINE_TEST)
-    assert b.mean_value == 15.0 and b.median_value == 15.0
-    assert b.source == BASELINE_TEST
-    with pytest.raises(ValueError):
-        baselines([10.0, 20.0], "oracle")
+    """Without a base the baselines are the actuals' mean and median."""
+    rep = tiered_eval([10.0, 20.0, 60.0], [10.0, 20.0, 60.0])
+    assert rep.baseline_source == BASELINE_TEST
+    full = rep.tiers[0]
+    assert full.baseline_mean.mae == metrics([10.0, 20.0, 60.0],
+                                             [30.0] * 3).mae
+    assert full.baseline_median.mae == metrics([10.0, 20.0, 60.0],
+                                               [20.0] * 3).mae
+    base = Baselines(mean_value=2.0, median_value=2.0, source=BASELINE_TRAIN)
+    rep = tiered_eval([10.0, 20.0, 60.0], [10.0, 20.0, 60.0], base=base)
+    assert rep.baseline_source == BASELINE_TRAIN
+    assert rep.tiers[0].baseline_mean.mae == 28.0
     with pytest.raises(EmptyInput):
-        baselines([], BASELINE_TRAIN)
+        tiered_eval([], [])
 
 
 def test_skewed_baseline_mean_vs_median():
     a = [0.0, 0.0, 0.0, 100.0]
-    b = baselines(a, BASELINE_TEST)
-    assert b.mean_value == 25.0
-    assert b.median_value == 0.0
-    # on skewed data the median baseline has far lower MAE than the mean one
-    mae_mean = metrics(a, [b.mean_value] * 4).mae
-    mae_median = metrics(a, [b.median_value] * 4).mae
-    assert mae_median < mae_mean
+    full = tiered_eval(a, a).tiers[0]
+    # test-derived constants 25 and 0: on skewed data the median baseline
+    # has far lower MAE than the mean one
+    assert full.baseline_mean.mae == 37.5
+    assert full.baseline_median.mae == 25.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,11 @@ def test_skewed_baseline_mean_vs_median():
 # ---------------------------------------------------------------------------
 
 def test_default_tier_thresholds():
-    tiers = default_tiers()
-    assert [(t.name, t.min_actual) for t in tiers] == [
-        ("full", None), ("cost-significant", 0.01), ("long-tail", 20.0)]
+    assert TIERS == (("full", None), ("cost-significant", 0.01),
+                     ("long-tail", 20.0))
+    rep = tiered_eval([0.001, 0.01, 20.0], [0.0, 0.0, 0.0])
+    assert [(t.name, t.n) for t in rep.tiers] == [
+        ("full", 3), ("cost-significant", 2), ("long-tail", 1)]
 
 
 def test_tier_nesting():
@@ -167,9 +169,7 @@ def test_baselines_evaluated_per_tier():
 
 def test_reduction_none_when_baseline_zero():
     a = [0.0, 0.0]
-    rep = tiered_eval(a, [0.0, 0.0],
-                      tiers=[TierSpec("full", None)],
-                      base=Baselines(0.0, 0.0, BASELINE_TRAIN))
+    rep = tiered_eval(a, [0.0, 0.0], base=Baselines(0.0, 0.0, BASELINE_TRAIN))
     assert rep.tiers[0].mae_reduction_vs_mean is None
 
 
@@ -203,7 +203,7 @@ def test_emit_structured_round_trips(report):
 
 
 def test_emit_structured_null_for_undefined():
-    rep = tiered_eval([1.0, 1.0], [2.0, 2.0], tiers=[TierSpec("full", None)])
+    rep = tiered_eval([1.0, 1.0], [2.0, 2.0])
     doc = json.loads(emit_report(rep, format="structured").decode())
     assert doc["tiers"][0]["model"]["explained_variance"] is None
 

@@ -19,6 +19,7 @@ from slotcast.errors import (
     NonFiniteFeatures,
     TooFewSamples,
 )
+from slotcast.evaluator import BASELINE_TRAIN
 from slotcast.gbrt import GBRTConfig
 from slotcast.predictor import (
     ROUTE_COMPLEX,
@@ -457,6 +458,10 @@ def test_metadata_train_constants(bundle, workload):
         actual.mean(), rel=1e-12)
     assert bundle.metadata["train_target_median"] == pytest.approx(
         np.median(actual), rel=1e-12)
+    base = bundle.train_baselines
+    assert (base.mean_value, base.median_value, base.source) == (
+        bundle.metadata["train_target_mean"],
+        bundle.metadata["train_target_median"], BASELINE_TRAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +552,26 @@ def resigned_header(data: bytes, edit) -> bytes:
     body = (data[:8] + len(new).to_bytes(8, "little") + new
             + data[16 + header_len:-32])
     return body + hashlib.sha256(body).digest()
+
+
+def test_big_endian_array_survives_a_second_save(bundle, workload):
+    """A bundle that declares fz.svd_components big-endian predicts as the
+    original, and so does the bundle it saves."""
+    name = "fz.svd_components"
+
+    def declare_big_endian(header):
+        spec, = (s for s in header["arrays"] if s["name"] == name)
+        spec["dtype"] = ">f8"
+
+    swapped = resigned(serialize_bundle(bundle), name,
+                       lambda a: a.byteswap(inplace=True))
+    loaded = deserialize_bundle(resigned_header(swapped, declare_big_endian))
+    assert loaded.featurizer.svd_basis.components.dtype.str == ">f8"
+    saved = deserialize_bundle(serialize_bundle(loaded))
+    fixture = workload[:100]
+    want = predict_many(bundle, fixture)
+    assert predict_many(loaded, fixture) == want
+    assert predict_many(saved, fixture) == want
 
 
 def test_vocabulary_terms_no_cleaned_query_forms_are_never_counted(
